@@ -79,10 +79,14 @@ func TestServeUntilDrainsInflight(t *testing.T) {
 	// connections are refused while the old request still drains.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		_, err := net.DialTimeout("tcp", ln.Addr().String(), 100*time.Millisecond)
+		conn, err := net.DialTimeout("tcp", ln.Addr().String(), 100*time.Millisecond)
 		if err != nil {
 			break // listener closed: drain mode
 		}
+		// A probe that won the race with Shutdown is a connection that
+		// never sends a request. The server counts it as idle only after
+		// 5s, the whole drain bound, so it must not outlive the probe.
+		conn.Close()
 		if time.Now().After(deadline) {
 			t.Fatal("listener still accepting long after shutdown began")
 		}

@@ -110,11 +110,12 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if *format == "json" {
-			if err := table.EncodeJSON(w); err != nil {
-				return fmt.Errorf("%s: %w", e.ID, err)
-			}
+			err = table.EncodeJSON(w)
 		} else {
-			table.Render(w)
+			err = table.Render(w)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		ran++
 	}

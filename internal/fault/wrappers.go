@@ -37,7 +37,7 @@ func apply(ctx context.Context, d decision) error {
 // latency and hangs before the real call, injected errors instead of
 // it, and corrupted payloads after it (Get corrupts what the caller
 // reads; Put corrupts what the bucket stores — the torn-write fault
-// the envelope checksum exists to catch).
+// the object checksum exists to catch).
 type ObjectClient struct {
 	inner objstore.ObjectClient
 	inj   *Injector
@@ -76,7 +76,7 @@ func (c *ObjectClient) Get(ctx context.Context, key string) ([]byte, error) {
 }
 
 // Put applies the spec, then writes through. Corruption damages what
-// lands in the bucket — later readers must detect it via the envelope
+// lands in the bucket — later readers must detect it via the object
 // checksum and treat it as a miss.
 func (c *ObjectClient) Put(ctx context.Context, key string, data []byte) error {
 	d := c.inj.decide()

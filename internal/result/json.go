@@ -148,17 +148,22 @@ type tableJSON struct {
 // CanonicalJSON returns the canonical byte encoding of the table:
 // encoding/json over a fixed-field-order envelope, with floats in Go's
 // shortest round-trip form. Equal tables produce equal bytes, which is
-// the property the fingerprinted store relies on.
+// the property the fingerprinted store relies on. Serving paths want
+// the memoized EncodedJSON instead.
 func (t *Table) CanonicalJSON() ([]byte, error) {
+	d, err := t.Decoded()
+	if err != nil {
+		return nil, err
+	}
 	encodes.Add(1)
 	return json.Marshal(tableJSON{
 		Schema:  SchemaVersion,
-		ID:      t.ID,
-		Title:   t.Title,
-		Claim:   t.Claim,
-		Columns: t.Columns,
-		Rows:    t.Rows,
-		Shape:   t.Shape,
+		ID:      d.ID,
+		Title:   d.Title,
+		Claim:   d.Claim,
+		Columns: d.Columns,
+		Rows:    d.Rows,
+		Shape:   d.Shape,
 	})
 }
 
@@ -177,6 +182,7 @@ func (t *Table) EncodeJSON(w io.Writer) error {
 // DecodeJSON reads one canonical table encoding, rejecting unknown
 // fields and schema versions this code does not understand.
 func DecodeJSON(r io.Reader) (*Table, error) {
+	decodes.Add(1)
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var w tableJSON
@@ -199,7 +205,8 @@ func DecodeJSON(r io.Reader) (*Table, error) {
 // Equal reports whether two tables hold identical typed data. It is the
 // semantic comparison scheduler and store tests assert with; because the
 // canonical encoding is deterministic, Equal(a, b) iff their
-// CanonicalJSON bytes match.
+// CanonicalJSON bytes match. A table whose typed fields do not decode
+// equals nothing.
 func (t *Table) Equal(o *Table) bool {
 	a, errA := t.CanonicalJSON()
 	b, errB := o.CanonicalJSON()

@@ -11,7 +11,8 @@
 // machine-readable schema: a deterministic byte encoding (fixed field
 // order, shortest round-trip float formatting) that downstream layers
 // hash, cache on disk (internal/store), and serve over HTTP
-// (cmd/bccserve).
+// (cmd/bccserve). A store tier hands a table back as its verified wire
+// bytes (FromWire), which decode to typed fields only on first use.
 //
 // Fingerprint names a table before it exists: it hashes the experiment
 // id, the run parameters that determine the table's content (Seed,
@@ -144,7 +145,8 @@ func (c Cell) String() string {
 	}
 }
 
-// Table is one experiment's typed result.
+// Table is one experiment's typed result. A table from a store tier
+// (FromWire) holds only its ID until Decoded fills in the rest.
 type Table struct {
 	// ID is the experiment id (E1..E18).
 	ID string
@@ -160,12 +162,12 @@ type Table struct {
 	// did.
 	Shape string
 
-	// enc memoizes the encoded views (EncodedJSON, EncodedMarkdown).
-	// Tables are immutable once built, so each view is computed at most
-	// once and then shared by every tier and every response that holds
-	// the table pointer. The sync.Once values make Table no longer
-	// copyable after first use — tables are handled by pointer
-	// everywhere, which go vet's copylocks check now enforces.
+	// enc memoizes the encoded views (EncodedJSON, EncodedMarkdown) and
+	// the deferred decode. Tables are immutable once built, so each view
+	// is computed at most once and then shared by every tier and every
+	// response that holds the table pointer. The sync.Once values make
+	// Table no longer copyable after first use — tables are handled by
+	// pointer everywhere, which go vet's copylocks check now enforces.
 	enc encoded
 }
 
@@ -176,27 +178,33 @@ func (t *Table) AddRow(cells ...Cell) {
 
 // Render writes the table as GitHub-flavoured markdown — the legacy view
 // of the typed data, byte-identical to what the pre-typed harness
-// printed.
-func (t *Table) Render(w io.Writer) {
+// printed. When the typed fields do not decode it writes nothing and
+// returns Decoded's error; errors from w are not reported.
+func (t *Table) Render(w io.Writer) error {
+	d, err := t.Decoded()
+	if err != nil {
+		return err
+	}
 	encodes.Add(1)
-	fmt.Fprintf(w, "### %s — %s\n\n", t.ID, t.Title)
-	fmt.Fprintf(w, "Paper claim: %s\n\n", t.Claim)
-	fmt.Fprintf(w, "| %s |\n", strings.Join(t.Columns, " | "))
-	seps := make([]string, len(t.Columns))
+	fmt.Fprintf(w, "### %s — %s\n\n", d.ID, d.Title)
+	fmt.Fprintf(w, "Paper claim: %s\n\n", d.Claim)
+	fmt.Fprintf(w, "| %s |\n", strings.Join(d.Columns, " | "))
+	seps := make([]string, len(d.Columns))
 	for i := range seps {
 		seps[i] = "---"
 	}
 	fmt.Fprintf(w, "| %s |\n", strings.Join(seps, " | "))
-	cells := make([]string, 0, len(t.Columns))
-	for _, row := range t.Rows {
+	cells := make([]string, 0, len(d.Columns))
+	for _, row := range d.Rows {
 		cells = cells[:0]
 		for _, c := range row {
 			cells = append(cells, c.String())
 		}
 		fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | "))
 	}
-	if t.Shape != "" {
-		fmt.Fprintf(w, "\nShape: %s\n", t.Shape)
+	if d.Shape != "" {
+		fmt.Fprintf(w, "\nShape: %s\n", d.Shape)
 	}
 	fmt.Fprintln(w)
+	return nil
 }

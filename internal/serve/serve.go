@@ -13,7 +13,10 @@
 // table object every tier shares) and every later response writes those
 // stored bytes. A memory-tier hit therefore performs zero encodes —
 // the property Benchmark_ServeHit measures and the race-mode serving
-// test pins down with result.Encodes.
+// test pins down with result.Encodes. A disk or bucket hit arrives as
+// the stored, checksum-verified wire bytes, so a JSON response from
+// those tiers performs zero decodes as well; only the markdown view
+// decodes the rows, once per table.
 //
 // # ETag is the fingerprint
 //
@@ -221,28 +224,22 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cached := map[string]bool{}
-	if st := s.Stack.Disk; st != nil {
-		// The index may be stale (a fresh Put heals it) but it must be
-		// readable: swallowing the error here advertised a corrupt
-		// replica as all-cold, which peers and operators took at face
-		// value. An unreadable index is a 500 the operator can see.
-		entries, err := st.Index()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "reading store index: %v", err)
-			return
-		}
-		for _, e := range entries {
-			cached[e.Fingerprint] = true
-		}
-	}
 	entries := []listEntry{}
 	for _, e := range s.Registry() {
 		key := store.KeyFor(e.ID, cfg.Params())
+		var isCached bool
+		if st := s.Stack.Disk; st != nil {
+			// A store that cannot be read must be loud: swallowing the
+			// error here would advertise a broken replica as all-cold,
+			// which peers and operators take at face value.
+			if isCached, err = st.Has(key); err != nil {
+				httpError(w, http.StatusInternalServerError, "reading store: %v", err)
+				return
+			}
+		}
 		// The memory tier counts too — a disk-less server would
 		// otherwise advertise a permanently cold replica while
 		// cached=only happily serves from L0.
-		isCached := cached[key.Fingerprint]
 		if !isCached && s.Stack.Mem != nil {
 			isCached = s.Stack.Mem.Contains(key)
 		}
@@ -434,7 +431,15 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	contentType := "application/json"
 	if format == "md" {
-		body, contentType = table.EncodedMarkdown(), "text/markdown; charset=utf-8"
+		// A tier hands back undecoded wire bytes; the markdown view is
+		// the first typed read, and a table that fails to decode is a
+		// 500, never an empty render.
+		var err error
+		if body, err = table.EncodedMarkdown(); err != nil {
+			httpError(w, http.StatusInternalServerError, "rendering %s: %v", id, err)
+			return
+		}
+		contentType = "text/markdown; charset=utf-8"
 	} else if body = encoded; body == nil {
 		var err error
 		body, err = table.EncodedJSON()

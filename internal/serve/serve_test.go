@@ -388,11 +388,11 @@ func TestListShowsMemoryCachedOnDisklessServer(t *testing.T) {
 	}
 }
 
-// TestListSurfacesIndexError: a replica whose store index cannot be
-// read (or rebuilt) answers /tables with a 500, not with a silently
-// all-cold listing — peers and operators act on the cached flags, so a
-// corrupt index must be loud.
-func TestListSurfacesIndexError(t *testing.T) {
+// TestListSurfacesStoreError: a replica whose disk store cannot be read
+// answers /tables with a 500, not with a silently all-cold listing —
+// peers and operators act on the cached flags, so a broken store must
+// be loud.
+func TestListSurfacesStoreError(t *testing.T) {
 	var calls atomic.Int64
 	dir := t.TempDir()
 	stack, err := tier.NewStack(tier.Config{MemCapacity: 4, Dir: dir})
@@ -407,18 +407,17 @@ func TestListSurfacesIndexError(t *testing.T) {
 		Quick:    true,
 		Workers:  2,
 	}
-	// Destroy both the index and the objects directory it would be
-	// rebuilt from: Index() has no healthy path left.
-	os.Remove(filepath.Join(dir, "index.json"))
+	// Destroy the objects directory: no listing probe has a healthy
+	// answer left.
 	if err := os.RemoveAll(filepath.Join(dir, "objects")); err != nil {
 		t.Fatal(err)
 	}
 	res, body := get(t, srv.Handler(), "/tables")
 	if res.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("unreadable index: status %d (body %q), want 500", res.StatusCode, body)
+		t.Fatalf("unreadable store: status %d (body %q), want 500", res.StatusCode, body)
 	}
-	if !strings.Contains(body, "index") {
-		t.Fatalf("500 body does not name the index: %q", body)
+	if !strings.Contains(body, "store") {
+		t.Fatalf("500 body does not name the store: %q", body)
 	}
 }
 

@@ -48,7 +48,10 @@ func KeyFor(id string, p result.Params) Key {
 //     concurrent writers of one key are harmless in every tier.
 //   - A returned *result.Table is shared and must be treated as
 //     immutable by callers and implementations alike; the in-memory
-//     tier hands out the same pointer to every hit.
+//     tier hands out the same pointer to every hit. A table from the
+//     disk or bucket tier carries its verified wire bytes and no
+//     decoded rows yet: read its typed fields through
+//     result.Table.Decoded.
 //   - Read-only tiers (the remote peer) implement Put as a successful
 //     no-op.
 type Backend interface {

@@ -8,7 +8,7 @@ import (
 )
 
 // benchTable builds a table of roughly serving size (tens of rows) so
-// the hit path exercises a realistic decode.
+// the hit path checksums a realistic body.
 func benchTable(rows int) *result.Table {
 	t := &result.Table{
 		ID:      "EB",
@@ -25,10 +25,9 @@ func benchTable(rows int) *result.Table {
 	return t
 }
 
-// BenchmarkGetHit is the serving hot path: one cached-table lookup —
-// file read, envelope parse, SHA-256 checksum, canonical decode. The
-// baseline lives in BENCH_STORE.json; bccserve's target of ~10k req/s
-// on a laptop rests on this number.
+// BenchmarkGetHit is the L1 serving hot path: one cached-table lookup —
+// file read, header compare, SHA-256 of the body, schema/id prefix
+// check. Nothing is decoded. The baseline lives in BENCH_STORE.json.
 func BenchmarkGetHit(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {
@@ -62,8 +61,9 @@ func BenchmarkGetMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkPut is the persistence cost of one fresh computation:
-// canonical encode, checksum, atomic temp+rename write, index upsert.
+// BenchmarkPut is the persistence cost of one fresh computation once
+// its wire bytes are memoized: checksum header, atomic temp+rename
+// write.
 func BenchmarkPut(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package memlru is the in-process hot-table tier (L0) of the result
-// store: a bounded LRU of decoded tables keyed by fingerprint, sitting
+// store: a bounded LRU of tables keyed by fingerprint, sitting
 // in front of the disk store so a busy bccserve answers its hottest
 // tables without touching the filesystem at all.
 //
@@ -26,15 +26,17 @@
 // evicted by the byte cap — a single table larger than MaxBytes still
 // caches (and evicts everything else), rather than turning the L0 off.
 //
-// Every entry carries the table's encoded JSON alongside the decoded
-// rows: Put pre-computes the wire bytes (result.Table memoizes them on
-// the immutable table object, so the entry, the scheduler's outcome,
-// and the HTTP response all share one copy), which moves the only
-// encode of a table's life onto the write path. A memory hit therefore
-// serves stored bytes — zero re-encodes, zero allocations. The
-// markdown view stays lazy: it is memoized the same way by the first
-// format=md request instead of being paid for tables nobody reads as
-// markdown.
+// Every entry carries the table's encoded JSON: Put warms the wire
+// bytes (result.Table memoizes them on the immutable table object, so
+// the entry, the scheduler's outcome, and the HTTP response all share
+// one copy). A table computed in process pays its only encode there; a
+// table backfilled from the disk or bucket tier arrives with its
+// verified wire bytes as the memo and undecoded rows, so that Put
+// encodes nothing at all. A memory hit therefore serves stored bytes —
+// zero re-encodes, zero allocations. The markdown view stays lazy: the
+// first format=md request decodes the rows (if they were never decoded)
+// and memoizes the rendering, instead of paying for tables nobody reads
+// as markdown.
 //
 // The zero capacity is rejected at construction rather than silently
 // caching nothing: an L0 that never holds anything is a configuration
@@ -51,7 +53,7 @@ import (
 	"repro/internal/store"
 )
 
-// Cache is a fixed-capacity in-memory LRU over decoded tables. It is
+// Cache is a fixed-capacity in-memory LRU over tables. It is
 // safe for concurrent use.
 type Cache struct {
 	capacity int

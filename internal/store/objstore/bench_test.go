@@ -43,9 +43,9 @@ func benchGetHit(b *testing.B, c ObjectClient) {
 }
 
 // BenchmarkGetHitFS is the shared-volume hit path a non-owner replica
-// pays instead of recomputing: file read, envelope parse, checksum,
-// canonical decode — the same work as the disk tier plus nothing, so it
-// should land within noise of store.BenchmarkGetHit.
+// pays instead of recomputing: file read, header compare, checksum,
+// schema/id prefix check — the same work as the disk tier plus
+// nothing, so it should land within noise of store.BenchmarkGetHit.
 func BenchmarkGetHitFS(b *testing.B) {
 	c, err := NewFS(b.TempDir())
 	if err != nil {
@@ -54,8 +54,8 @@ func BenchmarkGetHitFS(b *testing.B) {
 	benchGetHit(b, c)
 }
 
-// BenchmarkGetHitMem isolates the envelope verify + decode cost with
-// the medium removed (the floor any real bucket client sits on).
+// BenchmarkGetHitMem isolates the object verify cost with the medium
+// removed (the floor any real bucket client sits on).
 func BenchmarkGetHitMem(b *testing.B) {
 	benchGetHit(b, NewMem())
 }

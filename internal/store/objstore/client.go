@@ -7,7 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
+
+	"repro/internal/store"
 )
 
 // Mem is an in-memory ObjectClient: the single-process stand-in for a
@@ -60,44 +61,10 @@ func (m *Mem) Len() int {
 // RWX claim) it is a deployable shared bucket today — writes are
 // temp+rename atomic, so concurrent replicas racing on one key leave a
 // complete object from one of them (equal keys carry byte-equal
-// envelopes, so either winner is correct). It is safe for concurrent
+// objects, so either winner is correct). It is safe for concurrent
 // use within and across processes.
 type FS struct {
 	dir string
-}
-
-// orphanTTL is how old a leftover "put-*" temp file must be before the
-// startup sweep removes it. The bucket directory is shared across
-// replicas, so a young temp file may be another replica's in-flight
-// write whose rename would fail if we deleted it out from under it; a
-// crash's debris, by contrast, only gets older. An hour is far beyond
-// any write's lifetime.
-const orphanTTL = time.Hour
-
-// sweepOrphans removes stale "put-*" temp files — writers that crashed
-// between CreateTemp and Rename. Per-file failures are ignored: on a
-// shared volume another replica's sweep may win the race, and orphans
-// are invisible to Get either way (reads match exact object keys).
-func (f *FS) sweepOrphans(ttl time.Duration) int {
-	removed := 0
-	cutoff := time.Now().Add(-ttl)
-	des, err := os.ReadDir(f.dir)
-	if err != nil {
-		return 0
-	}
-	for _, de := range des {
-		if !strings.HasPrefix(de.Name(), "put-") || de.IsDir() {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil || info.ModTime().After(cutoff) {
-			continue
-		}
-		if os.Remove(filepath.Join(f.dir, de.Name())) == nil {
-			removed++
-		}
-	}
-	return removed
 }
 
 // NewFS returns a client rooted at dir, creating it if needed. Stale
@@ -107,9 +74,8 @@ func NewFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("objstore: creating %s: %w", dir, err)
 	}
-	f := &FS{dir: dir}
-	f.sweepOrphans(orphanTTL)
-	return f, nil
+	store.SweepOrphans(dir)
+	return &FS{dir: dir}, nil
 }
 
 // Name identifies the client in stats.
@@ -141,25 +107,14 @@ func (f *FS) Get(_ context.Context, key string) ([]byte, error) {
 	return data, err
 }
 
-// Put writes data to a temporary file in the root and renames it into
-// place, so readers (local or on other replicas of a shared volume)
-// never observe a partial object.
+// Put writes data through store.WriteFileAtomic — a temporary file in
+// the root renamed into place, the disk store's writer — so readers
+// (local or on other replicas of a shared volume) never observe a
+// partial object.
 func (f *FS) Put(_ context.Context, key string, data []byte) error {
 	p, err := f.path(key)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(f.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	return store.WriteFileAtomic(p, data)
 }

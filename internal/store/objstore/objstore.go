@@ -31,22 +31,21 @@
 //
 // # Object format
 //
-// One object per fingerprint, named "<fingerprint>.json", holding the
-// same envelope as the disk store: the table's canonical JSON plus a
-// SHA-256 checksum of those bytes. Shared media are exactly where torn
-// and damaged writes happen, so the shared tier keeps the local tier's
-// damage discipline; a failed check is a miss and the next writer's
-// atomic overwrite heals the object.
+// One object per fingerprint, named "<fingerprint>.json", in the disk
+// store's format (store.Seal): a header line carrying the SHA-256 of
+// the body, then the table's wire bytes verbatim. Shared media are
+// exactly where torn and damaged writes happen, so the shared tier
+// keeps the local tier's damage discipline; a failed check is a miss
+// and the next writer's atomic overwrite heals the object. A hit is the
+// bucket read, the checksum, and result.FromWire's schema/id check —
+// the verified bytes are served as they are, never decoded or
+// re-encoded on the way.
 package objstore
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -79,13 +78,6 @@ type ObjectClient interface {
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Put stores data under key, overwriting atomically.
 	Put(ctx context.Context, key string, data []byte) error
-}
-
-// envelope is the stored object form: canonical table bytes plus their
-// SHA-256, mirroring the disk store's damage discipline.
-type envelope struct {
-	Checksum string          `json:"checksum"`
-	Table    json.RawMessage `json:"table"`
 }
 
 // Tier is the shared-bucket store tier. It is safe for concurrent use.
@@ -143,8 +135,8 @@ func (t *Tier) Name() string { return "objstore" }
 func objectKey(fingerprint string) string { return fingerprint + ".json" }
 
 // Get fetches and verifies k's object. Any failure — absent key,
-// transport error, damaged envelope, checksum mismatch, decode failure,
-// wrong experiment id — is a miss; only the stats distinguish a clean
+// transport error, damaged header, checksum mismatch, wrong schema or
+// experiment id — is a miss; only the stats distinguish a clean
 // not-found from a degraded bucket.
 func (t *Tier) Get(ctx context.Context, k store.Key) (*result.Table, bool) {
 	if t.getBreaker != nil && !t.getBreaker.Allow() {
@@ -169,29 +161,16 @@ func (t *Tier) Get(ctx context.Context, k store.Key) (*result.Table, bool) {
 		}
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.recordGet(fmt.Errorf("objstore: %s: damaged envelope: %w", k.Fingerprint, err))
-		t.errors.Add(1)
-		return nil, false
-	}
-	sum := sha256.Sum256(env.Table)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
-		t.recordGet(fmt.Errorf("objstore: %s: checksum mismatch", k.Fingerprint))
-		t.errors.Add(1)
-		return nil, false
-	}
-	tab, err := result.DecodeJSON(strings.NewReader(string(env.Table)))
-	if err != nil {
-		t.recordGet(fmt.Errorf("objstore: %s: undecodable table: %w", k.Fingerprint, err))
-		t.errors.Add(1)
-		return nil, false
-	}
 	// The key names the object, the body names the experiment; a bucket
 	// shared by a misconfigured writer (or a hand-copied object) must
-	// not answer for the wrong table.
-	if tab.ID != k.ID {
-		t.recordGet(fmt.Errorf("objstore: %s: answered table %q for %q", k.Fingerprint, tab.ID, k.ID))
+	// not answer for the wrong table, so FromWire checks the id too.
+	body, err := store.Unseal(raw)
+	var tab *result.Table
+	if err == nil {
+		tab, err = result.FromWire(k.ID, body)
+	}
+	if err != nil {
+		t.recordGet(fmt.Errorf("objstore: %s: %w", k.Fingerprint, err))
 		t.errors.Add(1)
 		return nil, false
 	}
@@ -215,10 +194,11 @@ func (t *Tier) recordPut(err error) {
 	}
 }
 
-// Put write-throughs t's table into the bucket. The encode is memoized
-// on the table (free for any table a tier has touched); the write is
-// bounded by the tier's put timeout. Failures degrade sharing only —
-// callers may ignore the error, per the Backend contract.
+// Put write-throughs t's table into the bucket. The body is the
+// table's memoized wire encoding (free for any table a tier has
+// touched); the write is bounded by the tier's put timeout. Failures
+// degrade sharing only — callers may ignore the error, per the Backend
+// contract.
 func (t *Tier) Put(k store.Key, tab *result.Table) error {
 	if t.putBreaker != nil && !t.putBreaker.Allow() {
 		// The write path is down and remembered as down: fail in
@@ -227,22 +207,16 @@ func (t *Tier) Put(k store.Key, tab *result.Table) error {
 		t.putShortCircuits.Add(1)
 		return fmt.Errorf("objstore: put %s short-circuited: breaker open", k.Fingerprint)
 	}
-	body, err := tab.CanonicalJSON()
+	wire, err := tab.EncodedJSON()
 	if err != nil {
 		// A local encode failure says nothing about the bucket's health.
 		t.putErrors.Add(1)
 		return fmt.Errorf("objstore: encoding %s: %w", k.ID, err)
 	}
-	sum := sha256.Sum256(body)
-	raw, err := json.Marshal(envelope{Checksum: hex.EncodeToString(sum[:]), Table: body})
-	if err != nil {
-		t.putErrors.Add(1)
-		return fmt.Errorf("objstore: enveloping %s: %w", k.ID, err)
-	}
 	//bcclint:allow(ctxflow) Backend.Put carries no context by contract: write-through persistence is best-effort, off the request path, and must survive the request that triggered it; the tier supplies its own bound
 	ctx, cancel := context.WithTimeout(context.Background(), t.putTimeout)
 	defer cancel()
-	if err := t.client.Put(ctx, objectKey(k.Fingerprint), raw); err != nil {
+	if err := t.client.Put(ctx, objectKey(k.Fingerprint), store.Seal(wire)); err != nil {
 		t.recordPut(fmt.Errorf("objstore: putting %s: %w", k.Fingerprint, err))
 		t.putErrors.Add(1)
 		return fmt.Errorf("objstore: putting %s: %w", k.Fingerprint, err)
@@ -258,7 +232,7 @@ type Stats struct {
 	Client string `json:"client"`
 	// Hits counts verified object reads; NotFound counts clean absent
 	// keys; Errors counts degraded reads (transport, damage, checksum,
-	// decode, identity) — all but Hits are misses to callers.
+	// schema, identity) — all but Hits are misses to callers.
 	Hits     uint64 `json:"hits"`
 	NotFound uint64 `json:"not_found"`
 	Errors   uint64 `json:"errors"`

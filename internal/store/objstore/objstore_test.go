@@ -91,13 +91,19 @@ func TestTwoTiersShareOneBucket(t *testing.T) {
 }
 
 func TestDamagedObjectIsMiss(t *testing.T) {
-	cases := map[string][]byte{
-		"not json":          []byte("not json at all"),
-		"bad checksum":      []byte(`{"checksum":"deadbeef","table":{"x":1}}`),
-		"undecodable table": nil, // filled below: valid checksum over junk table bytes
+	wire, err := tableFor("E3").EncodedJSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum := `{"checksum":"` + checksumOf([]byte(`"junk"`)) + `","table":"junk"}`
-	cases["undecodable table"] = []byte(sum)
+	cases := map[string][]byte{
+		"not json": []byte("not json at all"),
+		// A header whose checksum is not the body's.
+		"bad checksum": []byte("repro-object sha256=" + checksumOf([]byte("other")) + "\n" + string(wire)),
+		// A valid checksum over a body that is not a table.
+		"undecodable table": store.Seal([]byte("\"junk\"\n")),
+		// The previous layout: a JSON envelope around the table.
+		"old envelope": []byte(`{"checksum":"` + checksumOf(wire[:len(wire)-1]) + `","table":` + string(wire)),
+	}
 	for name, raw := range cases {
 		t.Run(name, func(t *testing.T) {
 			bucket := NewMem()
@@ -215,7 +221,7 @@ func TestFSAtomicOverwriteUnderRace(t *testing.T) {
 	}
 }
 
-// checksumOf mirrors the envelope's checksum for test fixtures.
+// checksumOf mirrors the object header's checksum for test fixtures.
 func checksumOf(b []byte) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
@@ -232,14 +238,14 @@ func TestFSOrphanedTempFilesSwept(t *testing.T) {
 	// A crashed writer's debris (old) and a possibly-live in-flight
 	// write from another replica (young).
 	old := time.Now().Add(-2 * time.Hour)
-	stale := filepath.Join(dir, "put-crashed123")
+	stale := filepath.Join(dir, ".tmp-crashed123")
 	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
-	young := filepath.Join(dir, "put-inflight456")
+	young := filepath.Join(dir, ".tmp-inflight456")
 	if err := os.WriteFile(young, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +254,7 @@ func TestFSOrphanedTempFilesSwept(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale put-* orphan survived reopen")
+		t.Error("stale temp-file orphan survived reopen")
 	}
 	if _, err := os.Stat(young); err != nil {
 		t.Errorf("young temp file was swept: %v", err)
@@ -321,7 +327,7 @@ func TestCleanNotFoundNeverTripsGetBreaker(t *testing.T) {
 func TestCorruptObjectsTripGetBreaker(t *testing.T) {
 	mem := NewMem()
 	k := keyFor("E1", 1)
-	if err := mem.Put(context.Background(), k.Fingerprint+".json", []byte("not an envelope")); err != nil {
+	if err := mem.Put(context.Background(), k.Fingerprint+".json", []byte("not an object")); err != nil {
 		t.Fatal(err)
 	}
 	get := breaker.New("objstore", breaker.Options{Failures: 2, Cooldown: time.Hour})

@@ -4,56 +4,61 @@
 // and the bccserve HTTP API all read and write the same corpus.
 //
 // The Get/Put contract lives in the Backend interface; this package's
-// Store is the durable disk tier (L1). Two sibling packages implement
-// the fast and the shared tiers on the same contract — store/memlru is
-// the in-process hot table (L0), store/remote reads a peer bccserve's
-// corpus over HTTP (L2) — and store/tier composes any stack of them
-// with fallthrough and backfill. Every tier degrades to a miss on
-// failure (damage, network, decode): lookups never error, callers
-// recompute instead.
+// Store is the durable disk tier (L1). Sibling packages implement the
+// other tiers on the same contract — store/memlru is the in-process hot
+// table (L0), store/objstore the writable bucket a fleet shares (L2),
+// store/remote reads a peer bccserve's corpus over HTTP — and
+// store/tier composes any stack of them with fallthrough and backfill.
+// Every tier degrades to a miss on failure (damage, network, decode):
+// lookups never error, callers recompute instead.
 //
 // # Layout
 //
 //	<dir>/objects/<fingerprint>.json   one table per file
-//	<dir>/index.json                   derived listing (rebuildable)
 //
-// Each object file is a small envelope: the canonical JSON of the table
-// (internal/result) plus a SHA-256 checksum of those canonical bytes.
-// The fingerprint in the file name addresses the content before it is
+// Each object is a header line carrying the SHA-256 of the body, then
+// the body: the table's wire bytes (its canonical JSON plus a newline,
+// internal/result), verbatim. Seal and Unseal are that codec, and the
+// shared bucket (store/objstore) stores the same objects. The
+// fingerprint in the file name addresses the content before it is
 // computed (it hashes the run identity — experiment id, seed, quick,
-// schema version); the checksum inside detects damage after.
+// schema version); the checksum inside detects damage after. There is
+// no index: listings stat the objects they ask about, Stats reads the
+// directory, and Prune scans it.
+//
+// # The hit path
+//
+// A hit is one file read, a header compare, one SHA-256 of the body,
+// and result.FromWire's check that the body opens with this schema
+// version and the requested id. The verified bytes become the table's
+// memoized wire encoding, so serving it as JSON costs neither a decode
+// nor an encode; its typed rows are decoded only if something reads
+// them (result.Table.Decoded).
 //
 // # Durability and concurrency
 //
-// Writes are atomic: the envelope is written to a temporary file in the
-// store directory and renamed into place, so readers never observe a
-// half-written object. Concurrent writers racing on one fingerprint are
-// harmless — both render identical bytes (fingerprints determine content)
-// and either rename wins. Reads tolerate corruption: a truncated,
-// damaged, or schema-incompatible object is reported as a miss, so the
+// Writes are atomic (WriteFileAtomic): the object is written to a
+// temporary file in the objects directory and renamed into place, so
+// readers never observe a half-written object. Concurrent writers
+// racing on one fingerprint are harmless — both write identical bytes
+// (fingerprints determine content) and either rename wins. Reads
+// tolerate corruption: a truncated, damaged, or schema-incompatible
+// object — or one in an older layout — is reported as a miss, so the
 // caller recomputes instead of failing, and the recompute's Put
-// atomically overwrites the damaged object. Readers never delete —
-// removal on a failed read could race a concurrent writer's rename and
-// destroy a healthy object.
-//
-// The index is a convenience view for listings and stats; it is
-// rewritten atomically after each Put and rebuilt from the objects
-// directory whenever it is missing or unreadable. The objects are the
-// source of truth.
+// atomically overwrites it. Readers never delete — removal on a failed
+// read could race a concurrent writer's rename and destroy a healthy
+// object.
 package store
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/result"
@@ -65,42 +70,8 @@ import (
 type Store struct {
 	dir string
 
-	mu      sync.Mutex
-	hits    uint64
-	misses  uint64
-	puts    uint64
-	corrupt uint64 // reads that failed the checksum/decode
-
-	// indexMu serializes read-modify-write cycles on index.json within
-	// this process. Cross-process writers can still interleave, which at
-	// worst leaves the advisory index stale — the objects directory is
-	// the source of truth and Index falls back to a full rebuild.
-	indexMu sync.Mutex
-}
-
-// envelope is the on-disk object form.
-type envelope struct {
-	// Checksum is the hex SHA-256 of Table (the canonical table bytes).
-	Checksum string `json:"checksum"`
-	// Table is the canonical table encoding, embedded verbatim.
-	Table json.RawMessage `json:"table"`
-}
-
-// Entry describes one cached object in the index.
-type Entry struct {
-	// Fingerprint is the object's content address (file name stem).
-	Fingerprint string `json:"fingerprint"`
-	// ID is the experiment id of the stored table (empty when the object
-	// could not be read at scan time).
-	ID string `json:"id"`
-	// Bytes is the object file size.
-	Bytes int64 `json:"bytes"`
-	// Unix is the object's modification time (seconds).
-	Unix int64 `json:"unix"`
-	// Damaged marks an object that was read successfully but failed the
-	// checksum/decode — proven corruption, as opposed to a transient
-	// read failure (which leaves ID empty and Damaged false).
-	Damaged bool `json:"damaged,omitempty"`
+	hits, misses, puts atomic.Uint64
+	corrupt            atomic.Uint64 // reads that failed verification
 }
 
 // Stats summarizes a store's content and this handle's traffic.
@@ -109,49 +80,12 @@ type Stats struct {
 	Objects int   `json:"objects"`
 	Bytes   int64 `json:"bytes"`
 	// Hits/Misses/Puts/Corrupt count this handle's operations: Corrupt
-	// counts reads that failed the checksum/decode (the object stays in
-	// place and is healed by the next Put for its fingerprint).
+	// counts reads that failed verification (the object stays in place
+	// and is healed by the next Put for its fingerprint).
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Puts    uint64 `json:"puts"`
 	Corrupt uint64 `json:"corrupt"`
-}
-
-// orphanTTL is how old a leftover temp file must be before startup and
-// Prune sweeps remove it. A crash mid-write leaves its ".tmp-*" file
-// behind forever (the rename never happened), but a *young* temp file
-// may be another process's in-flight write on a shared directory —
-// deleting it would fail that writer's rename. An hour is far beyond
-// any legitimate write's lifetime and far below "accumulating junk".
-const orphanTTL = time.Hour
-
-// sweepOrphans removes temp files older than ttl from the store root
-// and the objects directory — the debris of writers that crashed
-// between CreateTemp and Rename. Failures are ignored file by file
-// (the sweep is hygiene, not correctness: orphans are invisible to
-// every read path, which matches on "<fingerprint>.json" names).
-func (s *Store) sweepOrphans(ttl time.Duration) int {
-	removed := 0
-	cutoff := time.Now().Add(-ttl)
-	for _, dir := range []string{s.dir, filepath.Join(s.dir, "objects")} {
-		des, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, de := range des {
-			if !strings.HasPrefix(de.Name(), ".tmp-") || de.IsDir() {
-				continue
-			}
-			info, err := de.Info()
-			if err != nil || info.ModTime().After(cutoff) {
-				continue
-			}
-			if os.Remove(filepath.Join(dir, de.Name())) == nil {
-				removed++
-			}
-		}
-	}
-	return removed
 }
 
 // Open returns a handle on dir, creating the layout if needed. Orphaned
@@ -159,11 +93,11 @@ func (s *Store) sweepOrphans(ttl time.Duration) int {
 // invisible to reads, but on a small disk a crash loop would otherwise
 // accumulate them without bound).
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	s := &Store{dir: dir}
+	if err := os.MkdirAll(s.objectsDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir}
-	s.sweepOrphans(orphanTTL)
+	SweepOrphans(s.objectsDir())
 	return s, nil
 }
 
@@ -172,6 +106,8 @@ func (s *Store) Dir() string { return s.dir }
 
 // Name identifies the disk tier in stats and cache headers.
 func (s *Store) Name() string { return "disk" }
+
+func (s *Store) objectsDir() string { return filepath.Join(s.dir, "objects") }
 
 func (s *Store) objectPath(fp string) string {
 	return filepath.Join(s.dir, "objects", fp+".json")
@@ -192,274 +128,160 @@ func validFingerprint(fp string) bool {
 	return true
 }
 
-// errCorrupt marks an object that was read in full but failed the
-// checksum or decode — proven damage, distinct from transient I/O
-// failure.
-var errCorrupt = errors.New("store: object corrupt")
+// objectFingerprint returns the fingerprint an objects-directory entry
+// stores, or false for anything else (temp files, strays).
+func objectFingerprint(name string) (string, bool) {
+	fp, ok := strings.CutSuffix(name, ".json")
+	return fp, ok && validFingerprint(fp)
+}
 
 // Get returns the cached table for a key, or (nil, false) on a miss.
 // Corrupt or unreadable objects count as misses; the caller's
-// recompute-and-Put overwrites a damaged object in place. Only the
-// fingerprint participates in the lookup — the id and params in the key
-// are for request-shaped tiers. The context is ignored: a local disk
-// read is not worth making interruptible.
+// recompute-and-Put overwrites a damaged object in place. The
+// fingerprint names the object and the key's id must open its body.
+// The context is ignored: a local disk read is not worth making
+// interruptible.
 func (s *Store) Get(_ context.Context, k Key) (*result.Table, bool) {
-	t, err := s.read(k.Fingerprint)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	t, err := s.read(k)
 	if err != nil || t == nil {
-		s.misses++
+		s.misses.Add(1)
 		if errors.Is(err, errCorrupt) {
-			s.corrupt++
+			s.corrupt.Add(1)
 		}
 		return nil, false
 	}
-	s.hits++
+	s.hits.Add(1)
 	return t, true
 }
+
+// errCorrupt marks an object that was read in full but failed
+// verification — proven damage, distinct from transient I/O failure.
+var errCorrupt = errors.New("store: object corrupt")
 
 // read loads and verifies one object: (nil, nil) means absent, an
 // errCorrupt-wrapped error means present but damaged, any other error
 // is a (possibly transient) read failure. Nothing is ever deleted here.
-func (s *Store) read(fp string) (*result.Table, error) {
-	if !validFingerprint(fp) {
+func (s *Store) read(k Key) (*result.Table, error) {
+	if !validFingerprint(k.Fingerprint) {
 		return nil, nil
 	}
-	raw, err := os.ReadFile(s.objectPath(fp))
-	if os.IsNotExist(err) {
+	raw, err := os.ReadFile(s.objectPath(k.Fingerprint))
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	t, err := decodeEnvelope(raw)
+	body, err := Unseal(raw)
+	var t *result.Table
+	if err == nil {
+		t, err = result.FromWire(k.ID, body)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	return t, nil
 }
 
-// decodeEnvelope parses and checksum-verifies an object file.
-func decodeEnvelope(raw []byte) (*result.Table, error) {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("store: parsing object: %w", err)
-	}
-	sum := sha256.Sum256(env.Table)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
-		return nil, fmt.Errorf("store: object checksum mismatch")
-	}
-	t, err := result.DecodeJSON(strings.NewReader(string(env.Table)))
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Put stores a table under its key's fingerprint with an atomic
-// write-and-rename, then refreshes the index.
+// write-and-rename. The body is the table's memoized wire encoding, so
+// a table that any tier or response has already touched — and every
+// table a tier read back — costs this Put zero raw encodes.
 func (s *Store) Put(k Key, t *result.Table) error {
-	fp := k.Fingerprint
-	if !validFingerprint(fp) {
-		return fmt.Errorf("store: malformed fingerprint %q", fp)
+	if !validFingerprint(k.Fingerprint) {
+		return fmt.Errorf("store: malformed fingerprint %q", k.Fingerprint)
 	}
-	// The memoized wire form is the canonical bytes plus a trailing
-	// newline; slicing it off shares the memo's array (read-only here),
-	// so a table that any tier or response has already touched costs
-	// this Put zero raw encodes.
-	enc, err := t.EncodedJSON()
+	wire, err := t.EncodedJSON()
 	if err != nil {
 		return fmt.Errorf("store: encoding table %s: %w", t.ID, err)
 	}
-	canonical := enc[:len(enc)-1]
-	sum := sha256.Sum256(canonical)
-	blob, err := json.Marshal(envelope{
-		Checksum: hex.EncodeToString(sum[:]),
-		Table:    json.RawMessage(canonical),
-	})
-	if err != nil {
+	if err := WriteFileAtomic(s.objectPath(k.Fingerprint), Seal(wire)); err != nil {
 		return err
 	}
-	data := append(blob, '\n')
-	if err := s.writeAtomic(s.objectPath(fp), data); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.puts++
-	s.mu.Unlock()
-	return s.upsertIndex(Entry{
-		Fingerprint: fp,
-		ID:          t.ID,
-		Bytes:       int64(len(data)),
-		Unix:        time.Now().Unix(),
-	})
+	s.puts.Add(1)
+	return nil
 }
 
-// writeAtomic writes data to a same-directory temp file and renames it
-// over path.
-func (s *Store) writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
+// Has reports whether k's object is on disk: one stat, no read and no
+// verification, so a damaged object counts as present until a Get
+// misses on it and the recompute's Put heals it. A missing object is
+// (false, nil). A store that cannot be read at all — its objects
+// directory gone or unreadable — is an error, so a listing built on Has
+// never passes a broken replica off as a cold one.
+func (s *Store) Has(k Key) (bool, error) {
+	if !validFingerprint(k.Fingerprint) {
+		return false, nil
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, err := os.Stat(s.objectPath(k.Fingerprint))
+	if errors.Is(err, fs.ErrNotExist) {
+		_, err = os.Stat(s.objectsDir())
+		return false, err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return err == nil, err
 }
 
-// Entries scans the objects directory and returns the live index,
-// sorted by fingerprint. Damaged objects appear with an empty ID — they
-// are visible (and prunable) but not trusted.
-func (s *Store) Entries() ([]Entry, error) {
-	names, err := os.ReadDir(filepath.Join(s.dir, "objects"))
+// Stats reports the store's current disk content and this handle's
+// traffic counters. It reads the objects directory, not the objects.
+func (s *Store) Stats() (Stats, error) {
+	des, err := os.ReadDir(s.objectsDir())
 	if err != nil {
-		return nil, err
+		return Stats{}, err
 	}
-	entries := make([]Entry, 0, len(names))
-	for _, de := range names {
-		name := de.Name()
-		fp, isObj := strings.CutSuffix(name, ".json")
-		if !isObj || !validFingerprint(fp) {
+	st := Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load(), Corrupt: s.corrupt.Load()}
+	for _, de := range des {
+		if _, ok := objectFingerprint(de.Name()); !ok {
+			continue
+		}
+		if info, err := de.Info(); err == nil {
+			st.Objects++
+			st.Bytes += info.Size()
+		}
+	}
+	return st, nil
+}
+
+// Prune removes every object older than maxAge and every provably
+// damaged object regardless of age (one that was read in full and
+// failed its header or checksum — an object that merely failed to
+// read, e.g. under fd exhaustion or a permission hiccup, is left
+// alone), returning how many were removed. Objects in an older layout
+// fail the header check, so Prune clears them too. It also sweeps temp
+// files orphaned by a crash mid-write (not counted in the return — they
+// were never objects).
+func Prune(s *Store, maxAge time.Duration) (int, error) {
+	SweepOrphans(s.objectsDir())
+	des, err := os.ReadDir(s.objectsDir())
+	if err != nil {
+		return 0, err
+	}
+	cutoff := time.Now().Add(-maxAge)
+	removed := 0
+	for _, de := range des {
+		fp, ok := objectFingerprint(de.Name())
+		if !ok {
 			continue
 		}
 		info, err := de.Info()
 		if err != nil {
 			continue
 		}
-		e := Entry{Fingerprint: fp, Bytes: info.Size(), Unix: info.ModTime().Unix()}
-		if raw, err := os.ReadFile(s.objectPath(fp)); err == nil {
-			if t, err := decodeEnvelope(raw); err == nil {
-				e.ID = t.ID
-			} else {
-				// Read in full but failed the checksum/decode: proven
-				// corruption. A transient ReadFile failure leaves the
-				// entry undamaged (just id-less) so Prune spares it.
-				e.Damaged = true
-			}
-		}
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Fingerprint < entries[j].Fingerprint })
-	return entries, nil
-}
-
-// writeIndex persists an entry list as index.json.
-func (s *Store) writeIndex(entries []Entry) error {
-	blob, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(filepath.Join(s.dir, "index.json"), append(blob, '\n'))
-}
-
-// rewriteIndex regenerates index.json from a full objects-directory
-// scan — the recovery path for a missing or damaged index.
-func (s *Store) rewriteIndex() error {
-	entries, err := s.Entries()
-	if err != nil {
-		return err
-	}
-	return s.writeIndex(entries)
-}
-
-// readIndex parses index.json; any failure reports (nil, false) so the
-// caller can fall back to a scan.
-func (s *Store) readIndex() ([]Entry, bool) {
-	raw, err := os.ReadFile(filepath.Join(s.dir, "index.json"))
-	if err != nil {
-		return nil, false
-	}
-	var entries []Entry
-	if json.Unmarshal(raw, &entries) != nil {
-		return nil, false
-	}
-	return entries, true
-}
-
-// upsertIndex folds one fresh entry into the persisted index without
-// rescanning the objects directory (a Put would otherwise cost O(store
-// size) in reads). A missing or damaged index triggers the full
-// rebuild instead.
-func (s *Store) upsertIndex(e Entry) error {
-	s.indexMu.Lock()
-	defer s.indexMu.Unlock()
-	entries, ok := s.readIndex()
-	if !ok {
-		return s.rewriteIndex()
-	}
-	kept := entries[:0]
-	for _, old := range entries {
-		if old.Fingerprint != e.Fingerprint {
-			kept = append(kept, old)
-		}
-	}
-	kept = append(kept, e)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Fingerprint < kept[j].Fingerprint })
-	return s.writeIndex(kept)
-}
-
-// Index returns the persisted index, rebuilding it when missing or
-// unreadable — the objects directory is the source of truth. Entries
-// are advisory: an object dropped for corruption after its index write
-// may linger until the next Put or Prune refreshes the file.
-func (s *Store) Index() ([]Entry, error) {
-	if entries, ok := s.readIndex(); ok {
-		return entries, nil
-	}
-	if err := s.rewriteIndex(); err != nil {
-		return nil, err
-	}
-	return s.Entries()
-}
-
-// Stats reports the store's current disk content and this handle's
-// traffic counters. It reads the index, not the objects, so it stays
-// cheap on large stores.
-func (s *Store) Stats() (Stats, error) {
-	entries, err := s.Index()
-	if err != nil {
-		return Stats{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{Objects: len(entries), Hits: s.hits, Misses: s.misses, Puts: s.puts, Corrupt: s.corrupt}
-	for _, e := range entries {
-		st.Bytes += e.Bytes
-	}
-	return st, nil
-}
-
-// Prune removes every object older than maxAge and every provably
-// damaged object regardless of age (checksum/decode failures only — an
-// object that merely failed to read, e.g. under fd exhaustion or a
-// permission hiccup, is left alone), returning how many were removed.
-// It also sweeps temp files orphaned by a crash mid-write (not counted
-// in the return — they were never objects).
-func Prune(s *Store, maxAge time.Duration) (int, error) {
-	s.sweepOrphans(orphanTTL)
-	entries, err := s.Entries()
-	if err != nil {
-		return 0, err
-	}
-	cutoff := time.Now().Add(-maxAge).Unix()
-	removed := 0
-	for _, e := range entries {
-		if e.Damaged || e.Unix < cutoff {
-			if err := os.Remove(s.objectPath(e.Fingerprint)); err == nil {
+		path := s.objectPath(fp)
+		if info.ModTime().Before(cutoff) || damaged(path) {
+			if os.Remove(path) == nil {
 				removed++
 			}
 		}
 	}
-	if removed > 0 {
-		if err := s.rewriteIndex(); err != nil {
-			return removed, err
-		}
-	}
 	return removed, nil
+}
+
+// damaged reports whether the object at path was read in full and
+// failed Unseal.
+func damaged(path string) bool {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	_, err = Unseal(raw)
+	return err != nil
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -168,8 +170,9 @@ func TestTruncatedObjectIsAMiss(t *testing.T) {
 	}
 }
 
-// TestCorruptPayloadIsAMiss flips bytes inside an intact JSON envelope:
-// the checksum must catch what the parser cannot.
+// TestCorruptPayloadIsAMiss changes a digit inside the body of an
+// intact object, which leaves valid JSON behind: the checksum must
+// catch what a parser could not.
 func TestCorruptPayloadIsAMiss(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -183,9 +186,9 @@ func TestCorruptPayloadIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Change a digit inside the payload without breaking JSON syntax.
+	// Change a digit inside the body without breaking JSON syntax.
 	mutated := []byte(string(raw))
-	for i := range mutated {
+	for i := headerLen; i < len(mutated); i++ {
 		if mutated[i] == '6' {
 			mutated[i] = '7'
 			break
@@ -233,25 +236,125 @@ func TestMalformedFingerprintRejected(t *testing.T) {
 	}
 }
 
-func TestIndexRebuiltAfterDamage(t *testing.T) {
+// TestOldLayoutObjectHeals: an object in the previous layout (a JSON
+// envelope holding a checksum and the table) fails the header check,
+// reads as a corrupt miss, and the recompute's Put overwrites it. No
+// migration step exists or is needed.
+func TestOldLayoutObjectHeals(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := keyFor("E9", 5)
+	wire, err := tableFor("E9").EncodedJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := wire[:len(wire)-1]
+	old := fmt.Sprintf(`{"checksum":"%x","table":%s}`+"\n", sha256.Sum256(canonical), canonical)
+	if err := os.WriteFile(s.objectPath(k.Fingerprint), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(context.Background(), k); ok {
+		t.Fatal("old-layout object served as a hit")
+	}
+	if st, _ := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("stats %+v, want the old-layout read counted corrupt", st)
+	}
+	if err := s.Put(k, tableFor("E9")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(context.Background(), k); !ok || !got.Equal(tableFor("E9")) {
+		t.Fatal("Put did not heal the old-layout object")
+	}
+}
+
+// TestWrongIDIsAMiss: the fingerprint names the object and the key's id
+// must open its body, so an intact object stored under another
+// experiment's fingerprint never answers for it.
+func TestWrongIDIsAMiss(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k3, k5 := keyFor("E3", 1), keyFor("E5", 1)
+	if err := s.Put(k3, tableFor("E3")); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(s.objectPath(k3.Fingerprint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.objectPath(k5.Fingerprint), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(context.Background(), k5); ok {
+		t.Fatal("E3's object answered for E5")
+	}
+}
+
+// TestGetServesVerifiedBytes: a hit hands over the stored wire bytes as
+// the table's encoded view, without decoding or re-encoding them, and
+// the rows decode once, on first typed use.
+func TestGetServesVerifiedBytes(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, want := keyFor("E4", 2), tableFor("E4")
+	if err := s.Put(k, want); err != nil {
+		t.Fatal(err)
+	}
+	wantWire, err := want.EncodedJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc0, dec0 := result.Encodes(), result.Decodes()
+	got, ok := s.Get(context.Background(), k)
+	if !ok {
+		t.Fatal("miss after put")
+	}
+	wire, err := got.EncodedJSON()
+	if err != nil || !bytes.Equal(wire, wantWire) {
+		t.Fatalf("hit bytes %q, %v; want %q", wire, err, wantWire)
+	}
+	if enc, dec := result.Encodes()-enc0, result.Decodes()-dec0; enc != 0 || dec != 0 {
+		t.Fatalf("hit cost %d encodes and %d decodes, want 0 and 0", enc, dec)
+	}
+	for i := 0; i < 3; i++ {
+		d, err := got.Decoded()
+		if err != nil || d.Shape != "holds" || len(d.Rows) != 1 {
+			t.Fatalf("decoded table %+v, %v", d, err)
+		}
+	}
+	if dec := result.Decodes() - dec0; dec != 1 {
+		t.Fatalf("three typed reads decoded %d times, want 1", dec)
+	}
+}
+
+// TestHas: the listing probe sees exactly the stored objects, and a
+// store whose objects directory is gone is an error, not a cold store.
+func TestHas(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := keyFor("E9", 5)
-	if err := s.Put(k, tableFor("E9")); err != nil {
+	in, out := keyFor("E2", 1), keyFor("E2", 2)
+	if err := s.Put(in, tableFor("E2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{not json"), 0o644); err != nil {
+	if ok, err := s.Has(in); !ok || err != nil {
+		t.Fatalf("Has(stored) = %v, %v", ok, err)
+	}
+	if ok, err := s.Has(out); ok || err != nil {
+		t.Fatalf("Has(absent) = %v, %v", ok, err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "objects")); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := s.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Fingerprint != k.Fingerprint || entries[0].ID != "E9" {
-		t.Fatalf("rebuilt index wrong: %+v", entries)
+	if _, err := s.Has(out); err == nil {
+		t.Fatal("Has reported a store without its objects directory as merely cold")
 	}
 }
 
@@ -262,7 +365,7 @@ func TestPrune(t *testing.T) {
 	}
 	oldKey, newKey := keyFor("E1", 1), keyFor("E2", 2)
 	for _, k := range []Key{oldKey, newKey} {
-		if err := s.Put(k, tableFor("EX")); err != nil {
+		if err := s.Put(k, tableFor(k.ID)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,34 +388,6 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-// TestPutReusesMemoizedEncoding: a table is raw-encoded once in its
-// life. Writing it to disk after any other consumer (a memory tier, a
-// response) has touched its encoded view costs zero additional
-// CanonicalJSON marshals — Put builds the envelope from the memoized
-// wire bytes.
-func TestPutReusesMemoizedEncoding(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := tableFor("E9")
-	k := keyFor("E9", 1)
-	if _, err := tab.EncodedJSON(); err != nil { // the one raw encode
-		t.Fatal(err)
-	}
-	before := result.Encodes()
-	if err := s.Put(k, tab); err != nil {
-		t.Fatal(err)
-	}
-	if raw := result.Encodes() - before; raw != 0 {
-		t.Fatalf("Put re-encoded a memoized table %d times, want 0", raw)
-	}
-	got, ok := s.Get(context.Background(), k)
-	if !ok || !got.Equal(tab) {
-		t.Fatal("round trip failed after memo-reusing Put")
-	}
-}
-
 func TestOrphanedTempFilesSwept(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -323,13 +398,13 @@ func TestOrphanedTempFilesSwept(t *testing.T) {
 	if err := s.Put(k, tableFor("E3")); err != nil {
 		t.Fatal(err)
 	}
-	// Plant the debris of crashed writers: old temp files in both the
-	// root (index writes) and objects/ (table writes), plus one *young*
-	// temp file that could be another process's in-flight write.
+	// Plant the debris of crashed writers: old temp files in objects/,
+	// plus one *young* temp file that could be another process's
+	// in-flight write.
 	old := time.Now().Add(-2 * time.Hour)
 	orphans := []string{
-		filepath.Join(dir, ".tmp-crashed-index"),
 		filepath.Join(dir, "objects", ".tmp-crashed-object"),
+		filepath.Join(dir, "objects", ".tmp-crashed-other"),
 	}
 	for _, p := range orphans {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
@@ -357,17 +432,13 @@ func TestOrphanedTempFilesSwept(t *testing.T) {
 	if _, err := os.Stat(young); err != nil {
 		t.Errorf("young temp file was swept: %v", err)
 	}
-	// The real corpus is intact: the object still reads and the index
-	// still lists exactly it.
+	// The real corpus is intact: the object still reads and the store
+	// still counts exactly it.
 	if _, ok := s2.Get(context.Background(), k); !ok {
 		t.Fatal("stored table lost to the sweep")
 	}
-	entries, err := s2.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Fingerprint != k.Fingerprint {
-		t.Fatalf("index after sweep: %+v", entries)
+	if st, err := s2.Stats(); err != nil || st.Objects != 1 {
+		t.Fatalf("stats after sweep: %+v, %v", st, err)
 	}
 
 	// Prune also sweeps (for long-lived processes that never reopen).

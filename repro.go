@@ -137,7 +137,9 @@ func RunAllExperiments(w io.Writer, cfg ExperimentConfig) error {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
-		table.Render(w)
+		if err := table.Render(w); err != nil {
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
+		}
 	}
 	return nil
 }
