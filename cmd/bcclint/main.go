@@ -1,12 +1,13 @@
 // Command bcclint is the repository's static-analysis suite: four
-// go/analysis analyzers that mechanize the prose contracts of
-// ARCHITECTURE.md — bit-determinism of the fingerprint-feeding
-// packages (detpure), request-context threading on the serving plane
-// (ctxflow), the every-failure-is-a-miss tier boundary (missdegrade),
-// and index-disjoint writes in worker closures (sharddiscipline).
+// analyzers that mechanize the prose contracts of ARCHITECTURE.md —
+// bit-determinism of the fingerprint-feeding packages (detpure),
+// request-context threading on the serving plane (ctxflow), the
+// every-failure-is-a-miss tier boundary (missdegrade), and
+// index-disjoint writes in worker closures (sharddiscipline).
 //
-// It speaks the go vet vettool protocol, so the whole suite runs over
-// the tree with the build system handling loading and caching:
+// It speaks the go vet vettool protocol (internal/analysis/driver), so
+// the whole suite runs over the tree with the build system handling
+// loading and caching. It takes no flags:
 //
 //	go build -o /tmp/bcclint ./cmd/bcclint
 //	go vet -vettool=/tmp/bcclint ./...
@@ -20,13 +21,13 @@ package main
 import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/detpure"
+	"repro/internal/analysis/driver"
 	"repro/internal/analysis/missdegrade"
 	"repro/internal/analysis/sharddiscipline"
-	"repro/internal/xtools/go/analysis/unitchecker"
 )
 
 func main() {
-	unitchecker.Main(
+	driver.Main(
 		detpure.Analyzer,
 		ctxflow.Analyzer,
 		missdegrade.Analyzer,

@@ -1,10 +1,11 @@
 // Package atest is the repository's analysistest: it runs a bcclint
 // analyzer over GOPATH-style fixture packages under testdata/src and
 // checks the diagnostics against // want comments, the same fixture
-// grammar golang.org/x/tools/go/analysis/analysistest uses. It exists
-// because this repository vendors the analysis framework from the Go
-// toolchain's own copy (internal/xtools), which ships the unitchecker
-// driver but not the test harness.
+// grammar golang.org/x/tools/go/analysis/analysistest uses. Fixtures
+// load from source, in process and offline, so an analyzer's tests
+// need neither the go command nor export data. CheckTree applies the
+// same grammar to diagnostics that come from outside the process: the
+// vettool run over a fixture tree (cmd/bcclint's tests).
 //
 // # Fixture layout and grammar
 //
@@ -27,21 +28,23 @@
 package atest
 
 import (
+	"cmp"
 	"go/ast"
 	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/xtools/go/analysis"
+	"repro/internal/analysis/driver"
 )
 
 func init() {
@@ -55,7 +58,7 @@ func init() {
 // layout, relative to the calling test's directory), runs the analyzer
 // over it, and compares diagnostics against the fixture's // want
 // comments.
-func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
+func Run(t *testing.T, a *driver.Analyzer, pkgpath string) {
 	t.Helper()
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {
@@ -72,22 +75,46 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 		t.Fatalf("loading fixture %s: %v", pkgpath, err)
 	}
 
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       l.fset,
-		Files:      pkg.files,
-		Pkg:        pkg.pkg,
-		TypesInfo:  pkg.info,
-		TypesSizes: types.SizesFor("gc", build.Default.GOARCH),
-		ResultOf:   map[*analysis.Analyzer]any{},
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:   os.ReadFile,
+	var found []Finding
+	a.Run(&driver.Pass{
+		Analyzer:  a,
+		Fset:      l.fset,
+		Files:     pkg.files,
+		Pkg:       pkg.pkg,
+		TypesInfo: pkg.info,
+		Report: func(d driver.Diagnostic) {
+			found = append(found, Finding{Pos: l.fset.Position(d.Pos), Message: d.Message})
+		},
+	})
+	check(t, l.fset, pkg.files, found)
+}
+
+// A Finding is a diagnostic resolved to its source position, the form
+// the vettool prints (file:line:col: message).
+type Finding struct {
+	Pos     token.Position
+	Message string
+}
+
+// CheckTree matches findings against the // want comments of every Go
+// file under root: each want must be met by a finding on its line, and
+// each finding must meet a want.
+func CheckTree(t *testing.T, root string, found []Finding) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		files = append(files, f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: Run failed: %v", a.Name, err)
-	}
-	check(t, l.fset, pkg.files, diags)
+	check(t, fset, files, found)
 }
 
 type loadedPkg struct {
@@ -137,15 +164,7 @@ func (l *loader) load(pkgpath string) (*loadedPkg, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
+	info := driver.NewInfo()
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(pkgpath, l.fset, files, info)
 	if err != nil {
@@ -172,8 +191,8 @@ type want struct {
 
 var wantRE = regexp.MustCompile("(\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)")
 
-// check matches reported diagnostics against // want comments.
-func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+// check matches findings against the // want comments of files.
+func check(t *testing.T, fset *token.FileSet, files []*ast.File, found []Finding) {
 	t.Helper()
 	var wants []*want
 	for _, f := range files {
@@ -209,19 +228,21 @@ func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysi
 		}
 	}
 
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+	slices.SortStableFunc(found, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Column, b.Pos.Column))
+	})
+	for _, d := range found {
 		matched := false
 		for _, w := range wants {
-			if !w.hit && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
+			if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				w.hit = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+			t.Errorf("%s: unexpected diagnostic: %s", d.Pos, d.Message)
 		}
 	}
 	for _, w := range wants {

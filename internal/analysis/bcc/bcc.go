@@ -24,7 +24,7 @@ import (
 	"go/token"
 	"strings"
 
-	"repro/internal/xtools/go/analysis"
+	"repro/internal/analysis/driver"
 )
 
 // Prefix is the directive prefix, after the "//" of a line comment.
@@ -48,7 +48,7 @@ func PathMatches(pkgpath string, names ...string) bool {
 // file. The determinism and degradation contracts govern production
 // compute and serving paths; tests legitimately use wall clocks,
 // context.Background, and reference math/rand implementations.
-func IsTestFile(pass *analysis.Pass, pos token.Pos) bool {
+func IsTestFile(pass *driver.Pass, pos token.Pos) bool {
 	f := pass.Fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
@@ -56,7 +56,7 @@ func IsTestFile(pass *analysis.Pass, pos token.Pos) bool {
 // Allower indexes the //bcclint:allow directives of a package for one
 // analyzer and remembers which source lines they waive.
 type Allower struct {
-	pass  *analysis.Pass
+	pass  *driver.Pass
 	lines map[string]map[int]bool // filename -> waived line set
 }
 
@@ -64,7 +64,7 @@ type Allower struct {
 // pass.Analyzer and reports the ones that carry no reason. It must be
 // called before the analyzer's package gate so a reasonless directive
 // anywhere in the tree fails the run, not only in covered packages.
-func NewAllower(pass *analysis.Pass) *Allower {
+func NewAllower(pass *driver.Pass) *Allower {
 	a := &Allower{pass: pass, lines: map[string]map[int]bool{}}
 	name := pass.Analyzer.Name
 	for _, f := range pass.Files {
@@ -147,7 +147,7 @@ func contains(list []string, s string) bool {
 // DeclaredWithin reports whether the object behind id was declared inside
 // the source range [lo, hi) — the closure-locality test the shard
 // discipline analyzer runs on every written variable.
-func DeclaredWithin(pass *analysis.Pass, id *ast.Ident, lo, hi token.Pos) bool {
+func DeclaredWithin(pass *driver.Pass, id *ast.Ident, lo, hi token.Pos) bool {
 	obj := pass.TypesInfo.ObjectOf(id)
 	if obj == nil {
 		return false

@@ -24,7 +24,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis/bcc"
-	"repro/internal/xtools/go/analysis"
+	"repro/internal/analysis/driver"
 )
 
 // coveredPkgs are the serving-plane packages where every outbound call
@@ -51,17 +51,15 @@ var ctxFreeHTTP = map[string]string{
 	"PostForm":   "http.NewRequestWithContext + Client.Do",
 }
 
-var Analyzer = &analysis.Analyzer{
-	Name: "ctxflow",
-	Doc: "require serving-plane lookups and outbound HTTP to thread the " +
-		"request context from an enclosing parameter, never a fresh root context",
-	Run: run,
-}
+// Analyzer requires serving-plane lookups and outbound HTTP to thread
+// the request context from an enclosing parameter, never a fresh root
+// context.
+var Analyzer = &driver.Analyzer{Name: "ctxflow", Run: run}
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *driver.Pass) {
 	allow := bcc.NewAllower(pass)
 	if !bcc.PathMatches(pass.Pkg.Path(), coveredPkgs...) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		if bcc.IsTestFile(pass, f.Pos()) {
@@ -106,7 +104,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 func isHTTPClient(t types.Type) bool {

@@ -26,7 +26,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis/bcc"
-	"repro/internal/xtools/go/analysis"
+	"repro/internal/analysis/driver"
 )
 
 // coveredPkgs are the fingerprint-feeding packages: everything whose
@@ -48,17 +48,15 @@ var coveredPkgs = []string{
 // not here: it wastes wall clock but cannot change a computed byte.
 var wallFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-var Analyzer = &analysis.Analyzer{
-	Name: "detpure",
-	Doc: "forbid wall clocks, math/rand, and map-order-dependent output " +
-		"in the fingerprint-feeding packages (the bit-determinism contract)",
-	Run: run,
-}
+// Analyzer forbids wall clocks, math/rand, and map-order-dependent
+// output in the fingerprint-feeding packages (the bit-determinism
+// contract).
+var Analyzer = &driver.Analyzer{Name: "detpure", Run: run}
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *driver.Pass) {
 	allow := bcc.NewAllower(pass)
 	if !bcc.PathMatches(pass.Pkg.Path(), coveredPkgs...) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		if bcc.IsTestFile(pass, f.Pos()) {
@@ -76,10 +74,9 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
-func checkImport(pass *analysis.Pass, allow *bcc.Allower, spec *ast.ImportSpec) {
+func checkImport(pass *driver.Pass, allow *bcc.Allower, spec *ast.ImportSpec) {
 	switch spec.Path.Value {
 	case `"math/rand"`, `"math/rand/v2"`:
 		allow.Reportf(spec.Pos(),
@@ -88,7 +85,7 @@ func checkImport(pass *analysis.Pass, allow *bcc.Allower, spec *ast.ImportSpec) 
 	}
 }
 
-func checkWallClock(pass *analysis.Pass, allow *bcc.Allower, call *ast.CallExpr) {
+func checkWallClock(pass *driver.Pass, allow *bcc.Allower, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -106,7 +103,7 @@ func checkWallClock(pass *analysis.Pass, allow *bcc.Allower, call *ast.CallExpr)
 // output: appends, builder/buffer writes, Fprint-family calls, or
 // writes into a slice element. The one blessed shape is the sorted-keys
 // gather — a key-only range appending exactly the key.
-func checkMapRange(pass *analysis.Pass, allow *bcc.Allower, rng *ast.RangeStmt) {
+func checkMapRange(pass *driver.Pass, allow *bcc.Allower, rng *ast.RangeStmt) {
 	if _, ok := pass.TypesInfo.TypeOf(rng.X).Underlying().(*types.Map); !ok {
 		return
 	}
@@ -142,7 +139,7 @@ func checkMapRange(pass *analysis.Pass, allow *bcc.Allower, rng *ast.RangeStmt) 
 	})
 }
 
-func rangeKeyObject(pass *analysis.Pass, rng *ast.RangeStmt) types.Object {
+func rangeKeyObject(pass *driver.Pass, rng *ast.RangeStmt) types.Object {
 	id, ok := rng.Key.(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
@@ -155,7 +152,7 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isBuiltinAppend(pass *driver.Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok {
 		return false
@@ -166,7 +163,7 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 
 // appendsOnlyKey reports whether every appended element is exactly the
 // range key identifier.
-func appendsOnlyKey(pass *analysis.Pass, call *ast.CallExpr, key types.Object) bool {
+func appendsOnlyKey(pass *driver.Pass, call *ast.CallExpr, key types.Object) bool {
 	if key == nil || len(call.Args) < 2 || call.Ellipsis.IsValid() {
 		return false
 	}
@@ -182,7 +179,7 @@ func appendsOnlyKey(pass *analysis.Pass, call *ast.CallExpr, key types.Object) b
 // orderedSink recognizes calls that emit ordered output: methods of
 // builders/buffers/tables (WriteString, WriteByte, WriteRune, Write,
 // AddRow) and the fmt.Fprint family.
-func orderedSink(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+func orderedSink(pass *driver.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false

@@ -27,7 +27,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis/bcc"
-	"repro/internal/xtools/go/analysis"
+	"repro/internal/analysis/driver"
 )
 
 // coveredPkgs are the tier implementations bound by the degradation
@@ -40,18 +40,15 @@ var coveredPkgs = []string{
 	"internal/store/tier",
 }
 
-var Analyzer = &analysis.Analyzer{
-	Name: "missdegrade",
-	Doc: "store tiers degrade to a miss, never fail or die: forbid " +
-		"(*result.Table, error) signatures, panic, log.Fatal, and os.Exit " +
-		"in the store packages",
-	Run: run,
-}
+// Analyzer makes store tiers degrade to a miss, never fail or die: it
+// forbids (*result.Table, error) signatures, panic, log.Fatal, and
+// os.Exit in the store packages.
+var Analyzer = &driver.Analyzer{Name: "missdegrade", Run: run}
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *driver.Pass) {
 	allow := bcc.NewAllower(pass)
 	if !bcc.PathMatches(pass.Pkg.Path(), coveredPkgs...) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		if bcc.IsTestFile(pass, f.Pos()) {
@@ -67,13 +64,12 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkSignature flags any exported function or method whose results
 // carry both a *result.Table and an error — the shape that lets a raw
 // transport error cross the tier boundary.
-func checkSignature(pass *analysis.Pass, allow *bcc.Allower, fd *ast.FuncDecl) {
+func checkSignature(pass *driver.Pass, allow *bcc.Allower, fd *ast.FuncDecl) {
 	if !fd.Name.IsExported() {
 		return
 	}
@@ -112,7 +108,7 @@ func isResultTable(t types.Type) bool {
 		bcc.PathMatches(obj.Pkg().Path(), "internal/result")
 }
 
-func checkCall(pass *analysis.Pass, allow *bcc.Allower, call *ast.CallExpr) {
+func checkCall(pass *driver.Pass, allow *bcc.Allower, call *ast.CallExpr) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		if b, ok := pass.TypesInfo.Uses[fun].(*types.Builtin); ok && b.Name() == "panic" {

@@ -28,7 +28,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis/bcc"
-	"repro/internal/xtools/go/analysis"
+	"repro/internal/analysis/driver"
 )
 
 // coveredPkgs are internal/mat plus every package running sharded
@@ -44,18 +44,16 @@ var coveredPkgs = []string{
 	"internal/rankprot",
 }
 
-var Analyzer = &analysis.Analyzer{
-	Name: "sharddiscipline",
-	Doc: "inside par.Do/par.Map/mat.ParRange/Dense.ApplyRows worker closures, " +
-		"every write must be index-disjoint: no captured scalars, no captured " +
-		"map writes, no slice writes at a closure-invariant index",
-	Run: run,
-}
+// Analyzer requires every write inside a par.Do/par.Map/mat.ParRange/
+// Dense.ApplyRows worker closure to be index-disjoint: no captured
+// scalars, no captured map writes, no slice writes at a
+// closure-invariant index.
+var Analyzer = &driver.Analyzer{Name: "sharddiscipline", Run: run}
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *driver.Pass) {
 	allow := bcc.NewAllower(pass)
 	if !bcc.PathMatches(pass.Pkg.Path(), coveredPkgs...) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		if bcc.IsTestFile(pass, f.Pos()) {
@@ -74,13 +72,12 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // isShardRunner recognizes the worker fan-out entry points: par.Do,
 // par.Map, mat.ParRange, and the ApplyRows method of mat.Dense —
 // whether package-qualified or called from their own package.
-func isShardRunner(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isShardRunner(pass *driver.Pass, call *ast.CallExpr) bool {
 	var callee *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -106,7 +103,7 @@ func isShardRunner(pass *analysis.Pass, call *ast.CallExpr) bool {
 // checkWorker walks one worker closure and flags writes that are not
 // index-disjoint. Locality is positional: an object declared inside
 // the closure's source range (parameters included) is worker-owned.
-func checkWorker(pass *analysis.Pass, allow *bcc.Allower, lit *ast.FuncLit) {
+func checkWorker(pass *driver.Pass, allow *bcc.Allower, lit *ast.FuncLit) {
 	lo, hi := lit.Pos(), lit.End()
 	local := func(id *ast.Ident) bool {
 		return id.Name == "_" || bcc.DeclaredWithin(pass, id, lo, hi)
@@ -124,7 +121,7 @@ func checkWorker(pass *analysis.Pass, allow *bcc.Allower, lit *ast.FuncLit) {
 	})
 }
 
-func checkWrite(pass *analysis.Pass, allow *bcc.Allower, lhs ast.Expr, op string, local func(*ast.Ident) bool) {
+func checkWrite(pass *driver.Pass, allow *bcc.Allower, lhs ast.Expr, op string, local func(*ast.Ident) bool) {
 	switch lhs := lhs.(type) {
 	case *ast.Ident:
 		if !local(lhs) {

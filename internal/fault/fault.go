@@ -104,11 +104,12 @@ func (s Spec) String() string {
 
 // Parse parses the compact spec form: comma-separated key=value pairs
 // from {err, lat, timeout, corrupt, seed, for}. Rates must be in
-// [0,1]; durations use Go syntax. The empty string is the zero Spec.
+// [0,1]; durations use Go syntax. The empty string and "none" (what
+// String prints for it) are the zero Spec.
 func Parse(s string) (Spec, error) {
 	var out Spec
 	s = strings.TrimSpace(s)
-	if s == "" {
+	if s == "" || s == "none" {
 		return out, nil
 	}
 	for _, part := range strings.Split(s, ",") {
@@ -124,7 +125,7 @@ func Parse(s string) (Spec, error) {
 		switch k {
 		case "err", "timeout", "corrupt":
 			rate, err := strconv.ParseFloat(v, 64)
-			if err != nil || rate < 0 || rate > 1 {
+			if err != nil || !(rate >= 0 && rate <= 1) { // NaN fails both
 				return out, fmt.Errorf("fault: %s=%q: want a rate in [0,1]", k, v)
 			}
 			switch k {
@@ -176,9 +177,12 @@ type Plan map[string]Spec
 //
 //	err=0.5                             every dependency flaps
 //	objstore:err=1;peer:lat=6s,seed=3   bucket down, peer black-holed
+//
+// The empty string and "none" (what String prints for it) are the empty
+// plan.
 func ParsePlan(s string) (Plan, error) {
 	s = strings.TrimSpace(s)
-	if s == "" {
+	if s == "" || s == "none" {
 		return nil, nil
 	}
 	plan := Plan{}

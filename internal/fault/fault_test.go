@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -39,6 +40,7 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 	for _, bad := range []string{
 		"err=2", "err=-0.1", "err=x", "lat=5", "lat=-1s", "bogus=1",
 		"err", "timeout=1.5", "seed=-1", "for=abc",
+		"err=NaN", "timeout=NaN", "corrupt=NaN",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -73,6 +75,44 @@ func TestParsePlan(t *testing.T) {
 	if p, err := ParsePlan(""); err != nil || p != nil {
 		t.Fatalf("empty plan: %v, %v", p, err)
 	}
+}
+
+// FuzzParsePlan pins the -chaos grammar's contracts on arbitrary input:
+// it never panics, and every accepted plan renders (String) to text
+// that re-parses to an equal plan, so what /stats and the logs print
+// can be pasted back into -chaos.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"none",
+		"err=0.5",
+		"err=0",          // a plan of zero specs renders as target:none sections
+		"objstore:",      // likewise one zero-spec target
+		"seed=5,for=10s", // a seed alone injects nothing but still renders
+		"objstore:err=1;peer:lat=6s,seed=3",
+		"fleet:corrupt=0.05,timeout=0.1,for=30s;objstore:none",
+		"err=0.3,lat=200ms,corrupt=0.05,timeout=0.1,seed=7,for=30s",
+		"err=NaN",
+		"err=-0,lat=1.5h",
+		"nope:err=1",
+		"objstore:err=1;objstore:err=0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := ParsePlan(in)
+		if err != nil {
+			return
+		}
+		text := p.String()
+		back, err := ParsePlan(text)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) rendered %q, which does not re-parse: %v", in, text, err)
+		}
+		if !maps.Equal(p, back) {
+			t.Fatalf("ParsePlan(%q) = %v, but its rendering %q re-parses to %v", in, p, text, back)
+		}
+	})
 }
 
 func TestInjectorDeterminism(t *testing.T) {

@@ -11,18 +11,16 @@
 // Every experiment is a pure function of (Seed, Quick) — the measurement
 // engines underneath are bit-identical for every worker count — so
 // scheduling order, concurrency level, and cache state cannot change a
-// table's content. Run returns outcomes in request order, which makes
-// the scheduler's output byte-identical to the sequential
-// loop-and-render of cmd/experiments for any Parallel value; tests
-// assert exactly that.
+// table's content. Requests fanned out at once and rendered in request
+// order are byte-identical to the sequential loop-and-render of
+// cmd/experiments for any Parallel value; tests assert exactly that.
 //
 // # Worker budget
 //
-// The configuration's Workers field is treated as the total goroutine
-// budget of a Run call: with Parallel experiments in flight at once,
-// each one's measurement engines get Workers/Parallel (at least 1)
-// goroutines, so E concurrent experiments do not oversubscribe the host
-// by a factor of E.
+// A request's Config.Workers is that one computation's goroutine
+// budget. A caller running Parallel experiments at once gives each
+// Workers/Parallel (at least 1), as cmd/bccserve does, so E concurrent
+// experiments do not oversubscribe the host by a factor of E.
 //
 // # Backpressure and cancellation
 //
@@ -57,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/par"
 	"repro/internal/result"
 	"repro/internal/store"
 )
@@ -588,49 +585,4 @@ func (s *Scheduler) Metrics() Metrics {
 		m.MeanComputeMS = m.TotalBusyMS / float64(m.Computed)
 	}
 	return m
-}
-
-// Run executes the named experiments under cfg, up to parallel at once,
-// splitting cfg.Workers across the concurrent flights. Outcomes come
-// back in request order; the first error (lowest request index, par.Do's
-// contract) aborts the batch.
-func (s *Scheduler) Run(ids []string, cfg experiments.Config) ([]Outcome, error) {
-	exps := make([]experiments.Experiment, len(ids))
-	for i, id := range ids {
-		e, ok := experiments.ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("sched: unknown experiment %q", id)
-		}
-		exps[i] = e
-	}
-
-	// Divide the total goroutine budget across concurrent experiments.
-	slots := s.parallel
-	if len(exps) < slots {
-		slots = len(exps)
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	perCfg := cfg
-	perCfg.Workers = par.Workers(cfg.Workers) / slots
-	if perCfg.Workers < 1 {
-		perCfg.Workers = 1
-	}
-
-	outcomes := make([]Outcome, len(exps))
-	err := par.Do(len(exps), func(i int) error {
-		// Concurrency is bounded inside Table by the scheduler's
-		// computation semaphore.
-		_, out, err := s.Table(exps[i], perCfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exps[i].ID, err)
-		}
-		outcomes[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outcomes, nil
 }

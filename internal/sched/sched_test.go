@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/par"
 	"repro/internal/result"
 	"repro/internal/store"
 )
@@ -176,11 +178,24 @@ func TestFailedFlightRetries(t *testing.T) {
 	}
 }
 
-func TestRunUnknownExperiment(t *testing.T) {
-	s := New(nil, 2)
-	if _, err := s.Run([]string{"E99"}, experiments.Config{}); err == nil {
-		t.Fatal("unknown id accepted")
+// fanOut requests every id through TableCtx at once, one par.Do shard
+// per request, and returns the outcomes in request order.
+func fanOut(t *testing.T, s *Scheduler, ids []string, cfg experiments.Config) []Outcome {
+	t.Helper()
+	outcomes := make([]Outcome, len(ids))
+	err := par.Do(len(ids), func(i int) error {
+		e, ok := experiments.ByID(ids[i])
+		if !ok {
+			return fmt.Errorf("missing %s", ids[i])
+		}
+		_, out, err := s.TableCtx(context.Background(), e, cfg)
+		outcomes[i] = out
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return outcomes
 }
 
 // TestSchedulerMatchesSequentialLoop renders real registry experiments
@@ -205,12 +220,8 @@ func TestSchedulerMatchesSequentialLoop(t *testing.T) {
 
 	for _, parallel := range []int{1, 2, 8} {
 		s := New(newStore(t), parallel)
-		outcomes, err := s.Run(ids, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got bytes.Buffer
-		for _, out := range outcomes {
+		for _, out := range fanOut(t, s, ids, cfg) {
 			out.Table.Render(&got)
 		}
 		if !bytes.Equal(sequential.Bytes(), got.Bytes()) {
@@ -219,16 +230,14 @@ func TestSchedulerMatchesSequentialLoop(t *testing.T) {
 	}
 }
 
-// TestRunDedupsRepeatedIDs: the same id twice in one batch computes
-// once (flight or store dedup) and both outcomes carry the table.
+// TestRunDedupsRepeatedIDs: the same id requested three times at once
+// computes once (flight or store dedup) and every outcome carries the
+// table.
 func TestRunDedupsRepeatedIDs(t *testing.T) {
 	disk := newStore(t)
 	s := New(disk, 4)
 	cfg := experiments.Config{Seed: 7, Quick: true}
-	outcomes, err := s.Run([]string{"E13", "E13", "E13"}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outcomes := fanOut(t, s, []string{"E13", "E13", "E13"}, cfg)
 	st, err := disk.Stats()
 	if err != nil {
 		t.Fatal(err)
