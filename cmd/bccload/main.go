@@ -183,12 +183,12 @@ type Report struct {
 	// when the header is absent, e.g. an error body).
 	Cache map[string]uint64 `json:"cache"`
 	// Tiers counts hit responses by X-Cache-Tier ("memory", "disk",
-	// "remote").
+	// "objstore", "fleet").
 	Tiers map[string]uint64 `json:"tiers"`
 	// Status counts responses by HTTP status code.
 	Status map[string]uint64 `json:"status"`
 	// Degraded counts responses carrying an X-Degraded header, by its
-	// value (the open-breaker list, e.g. "objstore,peer") — how much of
+	// value (the open-breaker list, e.g. "objstore,owner:<url>") — how much of
 	// the run was served while a dependency was being bypassed. Absent
 	// header: not counted (the common, healthy case).
 	Degraded map[string]uint64 `json:"degraded,omitempty"`

@@ -1,11 +1,11 @@
 // Command bccserve serves the paper-reproduction tables over HTTP, on
 // top of the tiered result store and the concurrent scheduler: cached
 // tables are answered from the fastest tier that holds them (in-memory
-// hot table → disk store → remote peer replica), misses are computed on
-// demand (once — concurrent identical requests share a single
+// hot table → disk store → shared object bucket), misses are computed
+// on demand (once — concurrent identical requests share a single
 // computation), and every computed table is persisted so no
 // (experiment, seed, quick) pair is ever paid for twice — by this
-// replica or, with -peer, by any replica in the fleet.
+// replica or, with -objstore and -fleet, by any replica in the fleet.
 //
 // The handlers live in internal/serve (so tests and the root
 // Benchmark_ServeHit drive them in-process); this command owns flags
@@ -31,11 +31,12 @@
 //	    ETag is the quoted fingerprint; If-None-Match answers 304. The
 //	    X-Cache response header says hit (served from the store) or
 //	    miss (computed for this request); X-Cache-Tier names the
-//	    answering tier on a hit; X-Fingerprint names the object. With
-//	    cached=only the server never computes: it answers 200 from its
-//	    store stack or 404 — the wire contract that lets replicas warm
-//	    from each other without recursion. A full compute queue is 429
-//	    with Retry-After; a request that outlives -timeout is 504.
+//	    answering tier on a hit; X-Fingerprint names the object; a JSON
+//	    body carries its SHA-256 in Repr-Digest. With cached=only the
+//	    server never computes: it answers 200 from its local tiers or
+//	    404 — the wire contract of the fleet owner fetch, which cannot
+//	    recurse. A full compute queue is 429 with Retry-After; a request
+//	    that outlives -timeout is 504.
 //	HEAD /tables/{id}?seed=N&quick=BOOL
 //	    The fleet cache probe: 200 if this replica's local tiers hold
 //	    the table, 202 if a computation for it is in flight right now,
@@ -55,21 +56,20 @@
 // Usage:
 //
 //	bccserve [-addr :8344] [-store DIR] [-mem N] [-objstore DIR]
-//	         [-peer URL] [-fleet URL,URL,...] [-seed N] [-quick]
+//	         [-fleet URL,URL,...] [-seed N] [-quick]
 //	         [-workers N] [-parallel N] [-queue N] [-timeout D]
-//	         [-drain D] [-peer-timeout D] [-objstore-put-timeout D]
+//	         [-drain D] [-objstore-put-timeout D]
 //	         [-breaker-failures N] [-breaker-cooldown D]
 //	         [-warm SPEC [-warm-poll D]]
 //	         [-dev [-chaos PLAN]]
 //
-// Every remote dependency — the peer tier, the shared bucket (reads
-// and writes separately), each fleet owner — runs behind a circuit
-// breaker: -breaker-failures consecutive failures open it, requests
-// then skip that dependency in microseconds (responses carry
-// X-Degraded naming the bypassed dependencies), and after
-// -breaker-cooldown one probe decides whether to re-admit it.
-// -peer-timeout and -objstore-put-timeout bound the individual
-// operations.
+// Every remote dependency — the shared bucket (reads and writes
+// separately), each fleet owner — runs behind a circuit breaker:
+// -breaker-failures consecutive failures open it, requests then skip
+// that dependency in microseconds (responses carry X-Degraded naming
+// the bypassed dependencies), and after -breaker-cooldown one probe
+// decides whether to re-admit it. -objstore-put-timeout bounds each
+// write-through.
 //
 // -warm SPEC runs a startup warming campaign beside the server: the
 // sweep grid (compact grammar, e.g. 'ids=E13,E20&seeds=1-8&quick=true')
@@ -82,15 +82,14 @@
 //
 // -chaos (dev only, requires -dev) injects deterministic faults into
 // the named dependencies for resilience testing, e.g.
-// 'objstore:err=1;peer:lat=6s,for=30s' — see docs/api.md for the spec
+// 'objstore:err=1;fleet:lat=6s,for=30s' — see docs/api.md for the spec
 // grammar.
 //
 // The store stack is assembled from the flags, fastest tier first:
 // -mem N is the in-process hot-table LRU (L0, N tables; 0 disables),
-// -store DIR the durable disk store (L1), -objstore DIR the fleet's
+// -store DIR the durable disk store (L1), and -objstore DIR the fleet's
 // WRITABLE shared object bucket (L2 — point every replica at one
-// shared volume path and each table is computed once fleet-wide), and
-// -peer URL a warm replica to read from (legacy read-only tier). Any
+// shared volume path and each table is computed once fleet-wide). Any
 // subset works; with none of them the server still serves,
 // deduplicating concurrent identical requests in memory only. -store
 // honors the BCC_STORE environment variable as its default, so a
@@ -101,9 +100,10 @@
 // FIRST entry is this replica) and turns the replicas into one logical
 // cache: every fingerprint gets exactly one owner (rendezvous
 // hashing), non-owners resolve from the shared bucket or the owner
-// (probe → cached fetch / in-flight wait / full proxy), and any owner
-// failure degrades to ordinary local compute. See ARCHITECTURE.md's
-// fleet layer for the decision table.
+// (probe → cached fetch / in-flight wait / full proxy, every fetched
+// body checked against the owner's Repr-Digest), and any owner failure
+// degrades to ordinary local compute. See ARCHITECTURE.md's fleet
+// layer for the decision table.
 package main
 
 import (
@@ -127,7 +127,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/store/objstore"
-	"repro/internal/store/remote"
 	"repro/internal/store/tier"
 	"repro/internal/sweep"
 )
@@ -165,7 +164,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		"disk store directory (L1; default $BCC_STORE; empty with no $BCC_STORE: no disk tier)")
 	memSize := fs.Int("mem", 64, "in-memory hot-table LRU capacity in tables (L0; 0 disables)")
 	memBytes := fs.Int64("mem-bytes", 0, "approximate byte cap for the L0 hot-table LRU (0: entries-only; evicts LRU-first when resident encoded bytes exceed the cap)")
-	peer := fs.String("peer", "", "warm replica base URL to read from (legacy read-only tier, e.g. http://replica-0:8344)")
 	objDir := fs.String("objstore", "", "shared object-store directory (writable shared L2; point every replica at one shared volume path)")
 	fleetFlag := fs.String("fleet", "", "static fleet membership: comma-separated replica URLs, FIRST entry is this replica (enables rendezvous ownership + owner proxy/wait)")
 	seed := fs.Uint64("seed", 2019, "default seed when a request omits ?seed=")
@@ -175,8 +173,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	queue := fs.Int("queue", 16, "computations allowed to wait beyond the -parallel running ones before requests get 429 (-1: unbounded)")
 	timeout := fs.Duration("timeout", 0, "per-request compute deadline (0: none); exceeded requests get 504")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown bound: how long in-flight requests may finish after SIGINT/SIGTERM")
-	peerTimeout := fs.Duration("peer-timeout", remote.DefaultTimeout,
-		"per-lookup round-trip bound against the -peer replica")
 	putTimeout := fs.Duration("objstore-put-timeout", objstore.DefaultPutTimeout,
 		"bound on each write-through Put into the -objstore bucket")
 	breakerFailures := fs.Int("breaker-failures", 5,
@@ -189,12 +185,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		"how often the -warm campaign re-checks a busy scheduler before dispatching its next cell")
 	dev := fs.Bool("dev", false, "development mode: permits -chaos")
 	chaos := fs.String("chaos", "",
-		"fault-injection plan, e.g. 'objstore:err=1;peer:lat=6s' or a bare spec for all targets (requires -dev; see docs/api.md)")
+		"fault-injection plan, e.g. 'objstore:err=1;fleet:lat=6s' or a bare spec for all targets (requires -dev; see docs/api.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *peerTimeout <= 0 {
-		return fmt.Errorf("-peer-timeout must be positive, got %s", *peerTimeout)
 	}
 	if *putTimeout <= 0 {
 		return fmt.Errorf("-objstore-put-timeout must be positive, got %s", *putTimeout)
@@ -229,9 +222,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	breakers := breaker.NewSet(breaker.Options{Failures: *breakerFailures, Cooldown: *breakerCooldown})
 	cfg := tier.Config{
 		MemCapacity: *memSize, MemMaxBytes: *memBytes,
-		Dir: *storeDir, ObjstoreDir: *objDir, PeerURL: *peer,
-		ObjstorePutTimeout: *putTimeout, PeerTimeout: *peerTimeout,
-		Breakers: breakers,
+		Dir: *storeDir, ObjstoreDir: *objDir,
+		ObjstorePutTimeout: *putTimeout,
+		Breakers:           breakers,
 	}
 	// Chaos wiring wraps each targeted dependency's transport with a
 	// seeded fault injector; untargeted dependencies run clean. The tier
@@ -243,12 +236,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		cfg.ObjstoreClient = fault.WrapObjectClient(fsc, fault.NewInjector(spec))
-	}
-	if spec, ok := plan[fault.TargetPeer]; ok && *peer != "" {
-		cfg.PeerClient = &http.Client{
-			Timeout:   *peerTimeout,
-			Transport: fault.WrapTransport(nil, fault.NewInjector(spec)),
-		}
 	}
 	stack, err := tier.NewStack(cfg)
 	if err != nil {

@@ -269,7 +269,6 @@ func TestRunValidatesRobustnessFlags(t *testing.T) {
 		"chaos without -dev":    {"-chaos", "err=1"},
 		"malformed chaos plan":  {"-dev", "-chaos", "bogus:err=1"},
 		"chaos rate over 1":     {"-dev", "-chaos", "err=2"},
-		"zero peer timeout":     {"-peer-timeout", "0"},
 		"negative put timeout":  {"-objstore-put-timeout", "-1s"},
 		"zero breaker failures": {"-breaker-failures", "0"},
 		"zero cooldown":         {"-breaker-cooldown", "0"},

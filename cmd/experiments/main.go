@@ -15,14 +15,14 @@
 //
 // The store can be tiered like the server's: -mem N puts an in-memory
 // hot table in front of the directory (useful when one sweep revisits
-// ids), and -peer URL reads a warm bccserve replica before computing
-// anything locally — a sweep against a warm fleet costs network reads,
-// not estimator runs.
+// ids), and -objstore DIR reads and writes the fleet's shared bucket
+// before computing anything locally — a sweep against a warm fleet's
+// bucket costs object reads, not estimator runs.
 //
 // Usage:
 //
 //	experiments [-quick] [-seed N] [-workers N] [-only E7[,E8,...]]
-//	            [-format md|json] [-store DIR] [-mem N] [-peer URL]
+//	            [-format md|json] [-store DIR] [-mem N] [-objstore DIR]
 //	            [-o FILE]
 package main
 
@@ -61,7 +61,6 @@ func run(args []string, stdout io.Writer) error {
 		"result-store directory: serve cached tables and persist fresh ones (default $BCC_STORE)")
 	memSize := fs.Int("mem", 0, "in-memory hot-table LRU capacity in tables (0 disables)")
 	memBytes := fs.Int64("mem-bytes", 0, "approximate byte cap for the in-memory LRU (0: entries-only)")
-	peer := fs.String("peer", "", "warm bccserve replica to read tables from before computing (read-only)")
 	objDir := fs.String("objstore", "", "shared object-store directory (the fleet's writable shared tier; a shared volume path)")
 	outPath := fs.String("o", "", "write output to this file instead of stdout")
 	if err := fs.Parse(args); err != nil {
@@ -88,11 +87,10 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// The same memory → disk → objstore → peer assembly bccserve serves
-	// from.
+	// The same memory → disk → objstore assembly bccserve serves from.
 	stack, err := tier.NewStack(tier.Config{
 		MemCapacity: *memSize, MemMaxBytes: *memBytes,
-		Dir: *storeDir, ObjstoreDir: *objDir, PeerURL: *peer,
+		Dir: *storeDir, ObjstoreDir: *objDir,
 	})
 	if err != nil {
 		return err

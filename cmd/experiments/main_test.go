@@ -1,8 +1,6 @@
 package main
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,35 +214,23 @@ func TestBCCStoreEnvSelectsStore(t *testing.T) {
 	}
 }
 
-// TestPeerTierSkipsLocalCompute: with -peer pointed at a warm replica,
-// the CLI reads the table over the wire and performs zero local
-// estimator calls.
-func TestPeerTierSkipsLocalCompute(t *testing.T) {
+// TestObjstoreSkipsLocalCompute: with -objstore pointed at a bucket
+// another run has warmed, the CLI reads the table from the bucket and
+// performs zero local estimator calls, even over a cold -store.
+func TestObjstoreSkipsLocalCompute(t *testing.T) {
 	calls := syntheticRegistry(t)
-	warm := &experiments.Table{ID: "EX", Title: "synthetic",
-		Claim: "c", Columns: []string{"seed"}, Shape: "holds"}
-	warm.AddRow(result.Int(31))
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/tables/EX" || r.URL.Query().Get("cached") != "only" {
-			http.NotFound(w, r)
-			return
-		}
-		blob, err := warm.CanonicalJSON()
-		if err != nil {
-			t.Error(err)
-		}
-		w.Write(append(blob, '\n'))
-	}))
-	defer peer.Close()
-
-	var out strings.Builder
-	if err := run([]string{"-seed", "31", "-peer", peer.URL}, &out); err != nil {
+	bucket := t.TempDir()
+	var first, second strings.Builder
+	if err := run([]string{"-seed", "31", "-store", t.TempDir(), "-objstore", bucket}, &first); err != nil {
 		t.Fatal(err)
 	}
-	if *calls != 0 {
-		t.Fatalf("peer-backed run made %d local estimator calls, want 0", *calls)
+	if err := run([]string{"-seed", "31", "-store", t.TempDir(), "-objstore", bucket}, &second); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "### EX") {
-		t.Fatalf("peer-served table missing from output:\n%s", out.String())
+	if *calls != 1 {
+		t.Fatalf("bucket-backed runs made %d estimator calls, want 1", *calls)
+	}
+	if first.String() != second.String() || !strings.Contains(second.String(), "### EX") {
+		t.Fatalf("bucket-served output differs from the computed one:\n%s\nvs\n%s", first.String(), second.String())
 	}
 }

@@ -24,8 +24,8 @@
 //     JSON schema and fingerprint content addresses (internal/result);
 //     a tiered compute-once cache behind the store.Backend contract —
 //     in-memory hot-table LRU (internal/store/memlru), a
-//     corruption-tolerant on-disk store (internal/store), a read-only
-//     peer-replica HTTP tier (internal/store/remote), and their
+//     corruption-tolerant on-disk store (internal/store), a writable
+//     shared object bucket (internal/store/objstore), and their
 //     fallthrough/backfill composition (internal/store/tier); a
 //     concurrent single-flight scheduler with bounded admission and
 //     per-request context cancellation (internal/sched); and the
@@ -34,9 +34,9 @@
 //     hit path never re-encodes; ETag is the content-address
 //     fingerprint, If-None-Match answers 304), computes misses on
 //     demand behind a bounded queue (429 + Retry-After, per-request
-//     timeouts), drains gracefully on SIGTERM, and lets replicas warm
-//     from each other — with cmd/bccload as the matching concurrent
-//     load generator;
+//     timeouts), drains gracefully on SIGTERM, and shares one cache
+//     across a fleet of replicas (owner fetches checked against a
+//     Repr-Digest) — with cmd/bccload as the matching load generator;
 //   - substrate packages: GF(2) bit vectors and linear algebra
 //     (internal/bitvec, internal/f2), finite distributions with
 //     total-variation distance, string-interned integer-keyed variants,

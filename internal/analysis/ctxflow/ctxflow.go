@@ -35,7 +35,6 @@ var coveredPkgs = []string{
 	"internal/store",
 	"internal/store/memlru",
 	"internal/store/objstore",
-	"internal/store/remote",
 	"internal/store/tier",
 	"internal/fleet",
 	"internal/sweep",

@@ -36,7 +36,6 @@ var coveredPkgs = []string{
 	"internal/store",
 	"internal/store/memlru",
 	"internal/store/objstore",
-	"internal/store/remote",
 	"internal/store/tier",
 }
 

@@ -1,11 +1,12 @@
 // Package breaker implements per-dependency circuit breakers for the
-// serving stack's remote dependencies (peer tier, shared object
-// bucket, fleet owners).
+// serving stack's remote dependencies (shared object bucket, fleet
+// owners).
 //
-// Every remote tier already degrades on failure — a dead peer is a
-// miss, a hung bucket is a miss — but without memory: each request
-// re-discovers the outage from scratch, and the discovery is priced in
-// timeouts (up to 5s per cold lookup against a black-holed peer). A
+// Every remote dependency already degrades on failure — a dead owner
+// is a local compute, a hung bucket is a miss — but without memory:
+// each request re-discovers the outage from scratch, and the discovery
+// is priced in timeouts (seconds per cold lookup against a black-holed
+// owner). A
 // breaker remembers. After Failures consecutive errors it opens, and an
 // open breaker answers Allow()=false in nanoseconds — the caller
 // short-circuits straight to its fallback (the next tier, or local
@@ -113,7 +114,7 @@ type Breaker struct {
 }
 
 // New returns a closed breaker named name (the dependency it guards —
-// "peer", "objstore", "owner:<url>") with the given options.
+// "objstore", "owner:<url>") with the given options.
 func New(name string, opts Options) *Breaker {
 	o := opts.withDefaults()
 	return &Breaker{name: name, opts: o, lastChange: o.Now()}
@@ -246,8 +247,8 @@ func (b *Breaker) Stats() Stats {
 }
 
 // Set is a named registry of breakers sharing one Options template: the
-// serving stack creates one Set and every dependency — peer tier,
-// object bucket (get and put separately), each fleet owner — gets its
+// serving stack creates one Set and every dependency — the object
+// bucket (get and put separately), each fleet owner — gets its
 // breaker from it, so /healthz, /stats, and the X-Degraded header see
 // every dependency in one place.
 type Set struct {

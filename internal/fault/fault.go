@@ -2,10 +2,10 @@
 // stack's remote dependencies: wrappers that make an object bucket, a
 // store backend, or an HTTP transport fail on purpose — with latency,
 // errors, hangs-until-deadline, and payload corruption drawn from a
-// seeded spec — so the degradation matrix (objstore down, peer
-// black-holed, owner flapping) is provable on demand in tests, in CI,
-// and against a live dev server instead of waiting for production to
-// supply the outage.
+// seeded spec — so the degradation matrix (objstore down, owner
+// black-holed, owner corrupting, owner flapping) is provable on demand
+// in tests, in CI, and against a live dev server instead of waiting for
+// production to supply the outage.
 //
 // # Specs
 //
@@ -25,7 +25,7 @@
 //	    injector goes quiet and the dependency heals, which is how CI
 //	    drives breaker recovery without an admin endpoint
 //
-// A Plan maps dependency targets to specs ("objstore:err=1;peer:lat=6s"),
+// A Plan maps dependency targets to specs ("objstore:err=1;fleet:lat=6s"),
 // with a bare spec applying to every target.
 //
 // # Determinism
@@ -163,11 +163,10 @@ func Parse(s string) (Spec, error) {
 // names (and breaker names).
 const (
 	TargetObjstore = "objstore"
-	TargetPeer     = "peer"
-	TargetFleet    = "fleet" // owner probes and proxies
+	TargetFleet    = "fleet" // owner probes, fetches and proxies
 )
 
-var knownTargets = map[string]bool{TargetObjstore: true, TargetPeer: true, TargetFleet: true}
+var knownTargets = map[string]bool{TargetObjstore: true, TargetFleet: true}
 
 // Plan maps dependency targets to their fault specs.
 type Plan map[string]Spec
@@ -175,8 +174,8 @@ type Plan map[string]Spec
 // ParsePlan parses a -chaos value: either one bare Spec applied to
 // every target, or semicolon-separated "target:spec" sections, e.g.
 //
-//	err=0.5                             every dependency flaps
-//	objstore:err=1;peer:lat=6s,seed=3   bucket down, peer black-holed
+//	err=0.5                              every dependency flaps
+//	objstore:err=1;fleet:lat=6s,seed=3   bucket down, owners slow
 //
 // The empty string and "none" (what String prints for it) are the empty
 // plan.
@@ -204,7 +203,7 @@ func ParsePlan(s string) (Plan, error) {
 		target, rest, ok := strings.Cut(section, ":")
 		target = strings.TrimSpace(target)
 		if !ok || !knownTargets[target] {
-			return nil, fmt.Errorf("fault: unknown chaos target in %q (want objstore, peer, or fleet)", section)
+			return nil, fmt.Errorf("fault: unknown chaos target in %q (want objstore or fleet)", section)
 		}
 		spec, err := Parse(rest)
 		if err != nil {

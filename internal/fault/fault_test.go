@@ -49,25 +49,28 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 }
 
 func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("objstore:err=1;peer:lat=6s")
+	p, err := ParsePlan("objstore:err=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p[TargetObjstore].Err != 1 || p[TargetPeer].Latency != 6*time.Second {
+	if p[TargetObjstore].Err != 1 {
 		t.Fatalf("plan = %v", p)
 	}
 	if _, ok := p[TargetFleet]; ok {
 		t.Fatal("unaddressed target present in plan")
+	}
+	if p, err = ParsePlan("fleet:lat=6s"); err != nil || p[TargetFleet].Latency != 6*time.Second {
+		t.Fatalf("plan = %v, %v", p, err)
 	}
 	// A bare spec fans out to every target.
 	p, err = ParsePlan("err=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p) != 3 || p[TargetFleet].Err != 0.5 {
+	if len(p) != 2 || p[TargetFleet].Err != 0.5 {
 		t.Fatalf("bare-spec plan = %v", p)
 	}
-	for _, bad := range []string{"nope:err=1", "objstore:err=1;objstore:err=0", "objstore:err=9"} {
+	for _, bad := range []string{"nope:err=1", "peer:err=1", "objstore:err=1;objstore:err=0", "objstore:err=9"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
@@ -89,7 +92,7 @@ func FuzzParsePlan(f *testing.F) {
 		"err=0",          // a plan of zero specs renders as target:none sections
 		"objstore:",      // likewise one zero-spec target
 		"seed=5,for=10s", // a seed alone injects nothing but still renders
-		"objstore:err=1;peer:lat=6s,seed=3",
+		"objstore:err=1;fleet:lat=6s,seed=3",
 		"fleet:corrupt=0.05,timeout=0.1,for=30s;objstore:none",
 		"err=0.3,lat=200ms,corrupt=0.05,timeout=0.1,seed=7,for=30s",
 		"err=NaN",

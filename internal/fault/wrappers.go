@@ -130,7 +130,7 @@ func (b *Backend) Put(k store.Key, t *result.Table) error {
 }
 
 // RoundTripper wraps an http.RoundTripper with fault injection, for
-// the HTTP-shaped dependencies (peer tier, fleet probes and proxies):
+// the HTTP-shaped dependency (fleet owner probes, fetches and proxies):
 // latency and hangs run under the request's context, injected errors
 // replace the round trip, and corruption flips bytes in the response
 // body (after reading it in full — the damaged body still terminates).

@@ -2,7 +2,9 @@ package result
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -24,15 +26,20 @@ func Encodes() uint64 { return encodes.Load() }
 // performed. Like Encodes, it only ever grows.
 func Decodes() uint64 { return decodes.Load() }
 
-// encoded memoizes a Table's encoded views and, for a table built by
-// FromWire, the deferred decode of its typed fields. Tables are
-// immutable once built (the repository-wide contract the fingerprinted
-// store depends on), so each view is computed at most once and the
-// bytes are shared by every caller thereafter.
+// encoded memoizes a Table's encoded views, the digest of its wire
+// bytes and, for a table built by FromWire, the deferred decode of its
+// typed fields. Tables are immutable once built (the repository-wide
+// contract the fingerprinted store depends on), so each view is
+// computed at most once and the bytes are shared by every caller
+// thereafter.
 type encoded struct {
 	jsonOnce sync.Once
 	json     []byte
 	jsonErr  error
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
+	digestErr  error
 
 	mdOnce sync.Once
 	md     []byte
@@ -60,6 +67,35 @@ func (t *Table) EncodedJSON() ([]byte, error) {
 	return t.enc.json, t.enc.jsonErr
 }
 
+// Digest returns the SHA-256 of the table's wire bytes (EncodedJSON):
+// the checksum a stored object's header carries and the Repr-Digest a
+// served table's response carries. It is computed at most once per
+// table, and a table built by FromWire starts with the digest its
+// reader verified, so no path hashes the same bytes twice. Safe for
+// concurrent use.
+func (t *Table) Digest() ([sha256.Size]byte, error) {
+	t.enc.digestOnce.Do(func() {
+		wire, err := t.EncodedJSON()
+		if err != nil {
+			t.enc.digestErr = err
+			return
+		}
+		t.enc.digest = sha256.Sum256(wire)
+	})
+	return t.enc.digest, t.enc.digestErr
+}
+
+// VerifyDigest checks that wire hashes to sum. It is the one integrity
+// check a table's bytes pass on their way back in, whether they come
+// from a stored object (store.Unseal) or from an owner replica's
+// response; a mismatch means the bytes were damaged on the way.
+func VerifyDigest(wire []byte, sum [sha256.Size]byte) error {
+	if sha256.Sum256(wire) != sum {
+		return errors.New("result: wire bytes do not match their SHA-256 digest")
+	}
+	return nil
+}
+
 // EncodedMarkdown returns the table's rendered markdown view, computed
 // once and shared. Like EncodedJSON's result, the slice is owned by the
 // table and must not be modified. The error is Decoded's: a table whose
@@ -82,13 +118,14 @@ func (t *Table) EncodedMarkdown() ([]byte, error) {
 var wireHead = []byte(fmt.Sprintf(`{"schema":%d,"id":`, SchemaVersion))
 
 // FromWire wraps wire bytes — a table's EncodedJSON, read back by a
-// store tier that verified their checksum — as the table with
-// experiment id. It checks only that wire opens with this schema
-// version and id and ends in a newline, and makes wire itself the
-// EncodedJSON memo, so serving the table costs no encode; the typed
-// fields wait for Decoded. The table keeps wire: callers must not
+// store tier or fetched from an owner replica after VerifyDigest
+// checked them against sum — as the table with experiment id. It
+// checks only that wire opens with this schema version and id and ends
+// in a newline, and makes wire itself the EncodedJSON memo and sum the
+// Digest memo, so serving the table costs no encode and no hash; the
+// typed fields wait for Decoded. The table keeps wire: callers must not
 // modify it afterwards.
-func FromWire(id string, wire []byte) (*Table, error) {
+func FromWire(id string, wire []byte, sum [sha256.Size]byte) (*Table, error) {
 	quoted, err := json.Marshal(id)
 	if err != nil {
 		return nil, err
@@ -101,6 +138,8 @@ func FromWire(id string, wire []byte) (*Table, error) {
 	t.enc.wire = wire
 	t.enc.json = wire
 	t.enc.jsonOnce.Do(func() {})
+	t.enc.digest = sum
+	t.enc.digestOnce.Do(func() {})
 	return t, nil
 }
 

@@ -2,6 +2,7 @@ package result
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"strings"
 	"sync"
@@ -155,7 +156,7 @@ func TestFromWireServesWithoutCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc0, dec0 := Encodes(), Decodes()
-	tab, err := FromWire("EX", wire)
+	tab, err := FromWire("EX", wire, sha256.Sum256(wire))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +187,37 @@ func TestFromWireServesWithoutCodec(t *testing.T) {
 	}
 }
 
+// TestDigestIsMemoizedAndSeeded: a built table's Digest is the SHA-256
+// of its wire bytes; a FromWire table's Digest is the sum its reader
+// verified, handed back without hashing again (a sentinel sum that is
+// not the bytes' hash proves nothing recomputed it); VerifyDigest
+// accepts exactly the bytes' own hash.
+func TestDigestIsMemoizedAndSeeded(t *testing.T) {
+	wire := wireOf(t)
+	if sum, err := encodedTestTable().Digest(); err != nil || sum != sha256.Sum256(wire) {
+		t.Fatalf("Digest = %x, %v; want the SHA-256 of the wire bytes", sum, err)
+	}
+	sentinel := [sha256.Size]byte{1, 2, 3}
+	tab, err := FromWire("EX", wire, sentinel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := tab.Digest(); err != nil || sum != sentinel {
+		t.Fatalf("FromWire table Digest = %x, %v; want the seeded sum", sum, err)
+	}
+	if err := VerifyDigest(wire, sha256.Sum256(wire)); err != nil {
+		t.Fatalf("VerifyDigest rejected the bytes' own hash: %v", err)
+	}
+	if err := VerifyDigest(wire, sentinel); err == nil {
+		t.Fatal("VerifyDigest accepted a foreign sum")
+	}
+	bad := &Table{ID: "EX", Columns: []string{"x"}}
+	bad.AddRow(Float(math.NaN()))
+	if _, err := bad.Digest(); err == nil {
+		t.Fatal("Digest of an unencodable table succeeded")
+	}
+}
+
 // TestFromWireChecksPrefix: the wire bytes must open with this schema
 // version and exactly the requested id, and end in the newline.
 func TestFromWireChecksPrefix(t *testing.T) {
@@ -205,7 +237,7 @@ func TestFromWireChecksPrefix(t *testing.T) {
 		"truncated head":  {"EX", wire[:5]},
 		"leading garbage": {"EX", append([]byte(" "), wire...)},
 	} {
-		if _, err := FromWire(c.id, c.wire); err == nil {
+		if _, err := FromWire(c.id, c.wire, sha256.Sum256(c.wire)); err == nil {
 			t.Errorf("%s: FromWire accepted %q as %s", name, c.wire, c.id)
 		}
 	}
@@ -221,7 +253,7 @@ func TestDeferredDecodeFailureIsAnError(t *testing.T) {
 		"second id": `{"schema":1,"id":"EX","title":"t","id":"EY"}` + "\n",
 		"bad cell":  `{"schema":1,"id":"EX","rows":[[{"i":1,"s":"x"}]]}` + "\n",
 	} {
-		tab, err := FromWire("EX", []byte(wire))
+		tab, err := FromWire("EX", []byte(wire), sha256.Sum256([]byte(wire)))
 		if err != nil {
 			t.Fatalf("%s: prefix check rejected %q: %v", name, wire, err)
 		}
@@ -247,7 +279,7 @@ func TestDeferredDecodeFailureIsAnError(t *testing.T) {
 // safety proof.
 func TestFromWireConcurrentFirstUse(t *testing.T) {
 	wire := wireOf(t)
-	tab, err := FromWire("EX", wire)
+	tab, err := FromWire("EX", wire, sha256.Sum256(wire))
 	if err != nil {
 		t.Fatal(err)
 	}

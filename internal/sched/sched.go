@@ -2,7 +2,7 @@
 // result store: a request names an experiment and a configuration, and
 // the scheduler answers with the table — from the store backend when
 // the fingerprint is cached (any store.Backend: the disk store, or a
-// memory → disk → peer stack from store/tier), from a single shared
+// memory → disk → bucket stack from store/tier), from a single shared
 // computation when several requests race on one fingerprint
 // (single-flight dedup), and from a fresh run otherwise.
 //
@@ -204,7 +204,7 @@ type Outcome struct {
 	// CacheHit reports that the table came straight from the store.
 	CacheHit bool
 	// Tier names the store tier that answered a CacheHit ("memory",
-	// "disk", "remote"; the backend's Name for single-tier stores).
+	// "disk", "objstore"; the backend's Name for single-tier stores).
 	Tier string
 	// Shared reports that this request piggybacked on another request's
 	// in-flight computation (single-flight dedup).
@@ -229,8 +229,8 @@ type tierGetter interface {
 }
 
 // lookup reads the backend, resolving the answering tier's name when
-// the backend can report it. The context bounds remote-tier round
-// trips.
+// the backend can report it. The context bounds the bucket tier's
+// round trips.
 func (s *Scheduler) lookup(ctx context.Context, k store.Key) (*result.Table, string, bool) {
 	if tg, ok := s.backend.(tierGetter); ok {
 		return tg.GetTier(ctx, k)
@@ -323,10 +323,10 @@ func (s *Scheduler) tableCtx(ctx context.Context, e experiments.Experiment, cfg 
 			return nil, out, err
 		}
 		// Join an in-progress flight before paying the backend lookup:
-		// a lookup can cost a remote-tier round trip (seconds against a
-		// dead peer), and an existing flight means the table is about
-		// to exist anyway — identical concurrent misses must collapse
-		// onto one computation without each stalling on the peer first.
+		// a lookup can cost a bucket round trip (seconds against a hung
+		// bucket), and an existing flight means the table is about to
+		// exist anyway — identical concurrent misses must collapse onto
+		// one computation without each stalling on the bucket first.
 		s.mu.Lock()
 		fl, joined := s.flights[k.Fingerprint]
 		if joined {

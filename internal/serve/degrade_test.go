@@ -2,11 +2,12 @@ package serve
 
 // Degradation-matrix tests: every dependency failure mode the fault
 // harness can produce — bucket down, bucket flapping, bucket
-// corrupting, peer black-holed, owner dead — must yield 100% request
-// success, a truthful X-Degraded header once the breaker opens, and
-// visible breaker transitions in /stats and /healthz. These are the
-// end-to-end counterpart of the per-tier breaker tests in
-// internal/store/{remote,objstore}.
+// corrupting, owner black-holed, owner dead, owner corrupting
+// (ownerfetch_test.go) — must yield 100% request success, a truthful
+// X-Degraded header once the breaker opens, and visible breaker
+// transitions in /stats and /healthz. These are the end-to-end
+// counterpart of the bucket tier's breaker tests in
+// internal/store/objstore.
 
 import (
 	"context"
@@ -158,34 +159,46 @@ func TestDegradationMatrixObjstore(t *testing.T) {
 	})
 }
 
-// TestPeerBlackHoleLatencyCollapsesAfterBreakerOpens is the acceptance
-// pin for the breaker's entire reason to exist: against a black-holed
-// peer (latency > timeout), a cold request pays the full peer timeout
-// before the breaker opens — and microseconds after. The test compares
-// the two regimes directly.
-func TestPeerBlackHoleLatencyCollapsesAfterBreakerOpens(t *testing.T) {
-	const peerTimeout = 150 * time.Millisecond
+// TestOwnerBlackHoleLatencyCollapsesAfterBreakerOpens is the
+// acceptance pin for the breaker's entire reason to exist: against a
+// black-holed owner (every round trip hangs until its deadline), a
+// non-owned cold request pays the full probe deadline before the owner
+// breaker opens — and microseconds after. The test compares the two
+// regimes directly.
+func TestOwnerBlackHoleLatencyCollapsesAfterBreakerOpens(t *testing.T) {
+	const bound = 150 * time.Millisecond
+	defer func(d time.Duration) { probeTimeout = d }(probeTimeout)
+	probeTimeout = bound
+	// Any syntactically valid owner URL works: the fault transport
+	// black-holes the request before a socket is ever dialed.
+	const owner = "http://127.0.0.1:1"
+	f, err := fleet.New("http://127.0.0.1:9", []string{owner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ownerSeeds []int
+	for s := 0; len(ownerSeeds) < 3 && s < 1000; s++ {
+		if f.Owner(store.KeyFor("EX", result.Params{Seed: uint64(s), Quick: true}).Fingerprint) == owner {
+			ownerSeeds = append(ownerSeeds, s)
+		}
+	}
+	if len(ownerSeeds) < 3 {
+		t.Fatal("rendezvous hashing assigned too little to the owner")
+	}
 	set := breaker.NewSet(breaker.Options{Failures: 2, Cooldown: time.Hour})
-	stack, err := tier.NewStack(tier.Config{
-		// Any syntactically valid URL works: the fault transport
-		// black-holes the request before a socket is ever dialed.
-		PeerURL: "http://127.0.0.1:1",
-		PeerClient: &http.Client{
-			Timeout:   peerTimeout,
-			Transport: fault.WrapTransport(nil, fault.NewInjector(fault.Spec{Timeout: 1, Seed: 3})),
-		},
-		Breakers: set,
-	})
+	stack, err := tier.NewStack(tier.Config{MemCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
 	srv := &Server{
-		Sched:    sched.New(stack.Backend, 2),
+		Sched:    sched.New(stack.Backend, 2, sched.WithOwner(f.Owns)),
 		Stack:    stack,
 		Registry: countingRegistry(&calls, nil),
 		Seed:     2019, Quick: true, Workers: 1,
-		Breakers: set,
+		Fleet:       f,
+		FleetClient: &http.Client{Transport: fault.WrapTransport(nil, fault.NewInjector(fault.Spec{Timeout: 1, Seed: 3}))},
+		Breakers:    set,
 	}
 	h := srv.Handler()
 
@@ -198,27 +211,31 @@ func TestPeerBlackHoleLatencyCollapsesAfterBreakerOpens(t *testing.T) {
 		return time.Since(start), res
 	}
 
-	// Cold requests before the breaker opens pay the peer timeout.
-	before1, _ := timeRequest(1)
-	before2, _ := timeRequest(2)
-	if before1 < peerTimeout || before2 < peerTimeout {
-		t.Fatalf("pre-open cold requests took %v/%v, want ≥ %v (the peer timeout)", before1, before2, peerTimeout)
+	// Cold requests before the breaker opens pay the probe deadline.
+	before1, _ := timeRequest(ownerSeeds[0])
+	before2, _ := timeRequest(ownerSeeds[1])
+	if before1 < bound || before2 < bound {
+		t.Fatalf("pre-open cold requests took %v/%v, want ≥ %v (the probe deadline)", before1, before2, bound)
 	}
-	if got := set.Get(tier.BreakerPeer).State(); got != breaker.Open {
-		t.Fatalf("peer breaker %v after 2 timeouts, want open", got)
+	ownerName := "owner:" + owner
+	if got := set.Get(ownerName).State(); got != breaker.Open {
+		t.Fatalf("owner breaker %v after 2 timeouts, want open", got)
 	}
 
-	// Post-open, the peer is skipped entirely: the cold path is pure
-	// local compute, orders of magnitude under the timeout.
-	after, res := timeRequest(3)
-	if after >= peerTimeout/2 {
-		t.Fatalf("post-open cold request took %v, want well under the %v peer timeout", after, peerTimeout)
+	// Post-open, the owner is skipped entirely: the cold path is pure
+	// local compute, orders of magnitude under the deadline.
+	after, res := timeRequest(ownerSeeds[2])
+	if after >= bound/2 {
+		t.Fatalf("post-open cold request took %v, want well under the %v probe deadline", after, bound)
 	}
-	if d := res.Header.Get("X-Degraded"); !strings.Contains(d, tier.BreakerPeer) {
-		t.Fatalf("X-Degraded = %q, want %q listed", d, tier.BreakerPeer)
+	if d := res.Header.Get("X-Degraded"); d != ownerName {
+		t.Fatalf("X-Degraded = %q, want %q", d, ownerName)
 	}
-	if st := stack.Peer.Stats(); st.ShortCircuits == 0 {
-		t.Fatalf("peer stats %+v, want short circuits after open", st)
+	if sc := srv.fleetC.ownerShortCircuits.Load(); sc != 1 {
+		t.Fatalf("%d owner short circuits after open, want 1", sc)
+	}
+	if calls.Load() != 3 {
+		t.Fatalf("estimator ran %d times, want one local compute per request", calls.Load())
 	}
 }
 

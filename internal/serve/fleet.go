@@ -18,6 +18,14 @@
 //     context expiry — the ordinary local compute path, so a dead owner
 //     degrades to exactly today's single-replica behavior.
 //
+// Both owner GETs — the cached=only fetch and the proxy — go through
+// one function (fetchOwner) that trusts nothing the owner sends until
+// it checks out: the X-Fingerprint must name the requested key, and the
+// body must hash to the response's Repr-Digest (RFC 9530) and open as
+// the requested table. A damaged or foreign body is a miss, so it falls
+// back to local compute and can never be cached here under the
+// fingerprint.
+//
 // The proxied GET carries an X-Fleet-Proxy header naming the caller; a
 // request bearing that header is never proxied onward, so disagreeing
 // ownership views (a misconfigured fleet) cannot form forwarding
@@ -45,7 +53,6 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/result"
 	"repro/internal/store"
-	"repro/internal/store/remote"
 )
 
 const (
@@ -68,20 +75,25 @@ const (
 	probeCold     = "cold"
 )
 
-// probeTimeout bounds one HEAD probe round trip. A probe answers from
-// memory (local-tier lookup plus an in-flight set check), so an owner
-// slower than this is effectively down and the caller should fall back
-// rather than stall its own request on diagnosis.
-const probeTimeout = 2 * time.Second
+// probeTimeout bounds one HEAD probe round trip, and ownerFetchTimeout
+// one cached=only fetch. Both answer from the owner's local tiers, so
+// an owner slower than this is effectively down and the caller should
+// fall back to local compute rather than stall its own request on
+// diagnosis. (Variables only so tests can shorten them.)
+var (
+	probeTimeout      = 2 * time.Second
+	ownerFetchTimeout = 5 * time.Second
+)
 
-// maxProxyBytes caps a proxied table body, mirroring the remote tier's
-// bound: canonical tables are a few KB.
-const maxProxyBytes = 16 << 20
+// maxOwnerBytes caps a table body fetched from an owner: canonical
+// tables are a few KB, so anything near this is damage or abuse.
+const maxOwnerBytes = 16 << 20
 
-// defaultFleetClient is the pooled transport for probes and proxies
-// when the embedder does not supply one. No overall Timeout: a proxied
-// GET legitimately waits for the owner's computation, and is bounded by
-// the request context instead (probes get their own short deadline).
+// defaultFleetClient is the pooled transport for probes, fetches and
+// proxies when the embedder does not supply one. No overall Timeout: a
+// proxied GET legitimately waits for the owner's computation, and is
+// bounded by the request context instead (probes and cached=only
+// fetches get their own short deadlines).
 var defaultFleetClient = &http.Client{
 	Transport: &http.Transport{
 		MaxIdleConns:        32,
@@ -149,36 +161,21 @@ func (s *Server) ownerBreaker(owner string) *breaker.Breaker {
 	return s.Breakers.Get("owner:" + owner)
 }
 
+// recordOwner feeds one owner round trip's outcome (nil: a healthy
+// answer) to the owner's breaker. Only the owner's own failures count:
+// this request's context dying — client gone, serving deadline hit —
+// says nothing about the owner, so it records nothing either way.
+func (s *Server) recordOwner(ctx context.Context, owner string, err error) {
+	if ob := s.ownerBreaker(owner); ob != nil && ctx.Err() == nil {
+		ob.Record(err)
+	}
+}
+
 func (s *Server) fleetClient() *http.Client {
 	if s.FleetClient != nil {
 		return s.FleetClient
 	}
 	return defaultFleetClient
-}
-
-// ownerReader returns (lazily building) the cached=only reader for an
-// owner replica. It reuses the remote tier wholesale: same wire
-// contract, same verification (schema version, table id, X-Fingerprint
-// against the local key), same pooled client with a bounded timeout —
-// and the owner's breaker, so fetch failures and probe failures feed
-// one health record per owner.
-func (s *Server) ownerReader(owner string) *remote.Tier {
-	s.fleetMu.Lock()
-	defer s.fleetMu.Unlock()
-	if t, ok := s.fleetReaders[owner]; ok {
-		return t
-	}
-	t, err := remote.New(owner, nil, remote.WithBreaker(s.ownerBreaker(owner)))
-	if err != nil {
-		// Fleet membership URLs are validated at parse time, so this is
-		// unreachable in practice; a nil reader degrades to fallback.
-		return nil
-	}
-	if s.fleetReaders == nil {
-		s.fleetReaders = map[string]*remote.Tier{}
-	}
-	s.fleetReaders[owner] = t
-	return t
 }
 
 // handleProbe is HEAD /tables/{id}: the cross-replica cache probe. It
@@ -242,29 +239,18 @@ func (s *Server) fleetResolve(ctx context.Context, k store.Key) (tab *result.Tab
 	waiting := false
 	for {
 		state, err := s.probeOwner(ctx, owner, k)
+		s.recordOwner(ctx, owner, err)
 		if err != nil {
-			// Classify before recording: the owner not answering is its
-			// failure; this request's own context dying (client gone,
-			// serving deadline hit) says nothing about the owner.
-			if ob != nil && ctx.Err() == nil {
-				ob.Record(err)
-			}
 			s.fleetC.probeErrors.Add(1)
 			s.fleetC.fallbacks.Add(1)
 			return nil, "", false, "", false
 		}
-		if ob != nil {
-			ob.Record(nil)
-		}
 		switch state {
 		case probeCached:
-			reader := s.ownerReader(owner)
-			if reader != nil {
-				if t, hit := reader.Get(ctx, k); hit {
-					s.fleetC.ownerFetches.Add(1)
-					s.Stack.BackfillLocal(k, t)
-					return t, "fleet", true, owner, true
-				}
+			if t, _ := s.fetchOwner(ctx, owner, k, false); t != nil {
+				s.fleetC.ownerFetches.Add(1)
+				s.Stack.BackfillLocal(k, t)
+				return t, "fleet", true, owner, true
 			}
 			// Probed cached but the fetch missed (evicted in the gap, or
 			// a degraded owner): compute locally rather than loop.
@@ -299,16 +285,10 @@ func (s *Server) fleetResolve(ctx context.Context, k store.Key) (tab *result.Tab
 			// concurrent requests (and every other non-owner's proxy),
 			// and its write-through publishes the result to the bucket
 			// for the whole fleet.
-			t, hit, err := s.proxyOwner(ctx, owner, k)
-			if err != nil {
-				if ob != nil && ctx.Err() == nil {
-					ob.Record(err)
-				}
+			t, hit := s.fetchOwner(ctx, owner, k, true)
+			if t == nil {
 				s.fleetC.fallbacks.Add(1)
 				return nil, "", false, "", false
-			}
-			if ob != nil {
-				ob.Record(nil)
 			}
 			s.fleetC.proxied.Add(1)
 			s.Stack.BackfillLocal(k, t)
@@ -332,7 +312,7 @@ func (s *Server) probeOwner(ctx context.Context, owner string, k store.Key) (str
 	if err != nil {
 		return "", err
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxProxyBytes))
+	io.Copy(io.Discard, io.LimitReader(resp.Body, maxOwnerBytes))
 	resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -346,41 +326,83 @@ func (s *Server) probeOwner(ctx context.Context, owner string, k store.Key) (str
 	}
 }
 
-// proxyOwner forwards the full GET to the owner — the one fleet path
-// that may cause work, on the one replica entitled to do it. The
-// response is verified like a remote-tier read (decode checks the
-// schema version; the id and X-Fingerprint must match the local key)
-// before it can enter the local tiers. Returns whether the owner served
-// it as a cache hit — a proxied miss was computed just now, and the
+// fetchOwner GETs k's table from owner and verifies it before it can
+// enter the local tiers: with compute false, the cached=only fetch of a
+// table the owner's probe reported cached; with compute true, the full
+// GET proxied to a cold owner — the one fleet path that may cause work,
+// on the one replica entitled to do it. Any failure is a miss (nil) and
+// an owner-breaker failure; the owner's clean cached=only 404 is a miss
+// and a healthy answer. hit reports whether the owner served the table
+// from its store — a proxied miss was computed just now, and the
 // response's X-Cache should say so.
-func (s *Server) proxyOwner(ctx context.Context, owner string, k store.Key) (*result.Table, bool, error) {
+func (s *Server) fetchOwner(ctx context.Context, owner string, k store.Key, compute bool) (tab *result.Table, hit bool) {
+	tab, hit, err := s.readOwner(ctx, owner, k, compute)
+	s.recordOwner(ctx, owner, err)
+	return tab, hit
+}
+
+// readOwner is fetchOwner's round trip. The owner must answer 200 with
+// this key's X-Fingerprint and a Repr-Digest, and the body must hash to
+// that digest and open as table k.ID at this schema version; the
+// verified bytes are then wrapped as they are (result.FromWire), so a
+// fetch costs neither a decode nor an encode, and its digest is the one
+// just checked. A cached=only fetch runs under ownerFetchTimeout as
+// well as ctx; a proxied GET waits out the owner's computation under
+// ctx alone.
+func (s *Server) readOwner(ctx context.Context, owner string, k store.Key, compute bool) (*result.Table, bool, error) {
 	u := fmt.Sprintf("%s/tables/%s?seed=%d&quick=%t",
 		owner, url.PathEscape(k.ID), k.Params.Seed, k.Params.Quick)
+	if !compute {
+		u += "&cached=only"
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, ownerFetchTimeout)
+		defer cancel()
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	req.Header.Set(headerFleetProxy, s.Fleet.Self())
+	if compute {
+		req.Header.Set(headerFleetProxy, s.Fleet.Self())
+	}
 	resp, err := s.fleetClient().Do(req)
 	if err != nil {
 		return nil, false, err
 	}
+	// Drain before closing on every path, so the connection goes back
+	// into the keep-alive pool instead of costing the next fetch a
+	// handshake.
 	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxProxyBytes))
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxOwnerBytes))
 		resp.Body.Close()
 	}()
+	if resp.StatusCode == http.StatusNotFound && !compute {
+		return nil, false, nil
+	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("proxy %s: status %d", owner, resp.StatusCode)
+		return nil, false, fmt.Errorf("owner %s: status %d", owner, resp.StatusCode)
 	}
-	tab, err := result.DecodeJSON(io.LimitReader(resp.Body, maxProxyBytes))
+	// The body carries the id but not the seed/quick params; the owner
+	// computes X-Fingerprint from the params it parsed, so a proxy that
+	// strips or re-keys the query string is caught here.
+	if fp := resp.Header.Get("X-Fingerprint"); fp != k.Fingerprint {
+		return nil, false, fmt.Errorf("owner %s: X-Fingerprint %q, want %s", owner, fp, k.Fingerprint)
+	}
+	sum, err := parseReprDigest(resp.Header.Get(headerReprDigest))
 	if err != nil {
-		return nil, false, fmt.Errorf("proxy %s: %w", owner, err)
+		return nil, false, fmt.Errorf("owner %s: %w", owner, err)
 	}
-	if tab.ID != k.ID {
-		return nil, false, fmt.Errorf("proxy %s: table %q, want %q", owner, tab.ID, k.ID)
+	// A body cut short by the cap fails the digest like any damage.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxOwnerBytes))
+	if err == nil {
+		err = result.VerifyDigest(body, sum)
 	}
-	if fp := resp.Header.Get("X-Fingerprint"); fp != "" && fp != k.Fingerprint {
-		return nil, false, fmt.Errorf("proxy %s: fingerprint mismatch", owner)
+	var tab *result.Table
+	if err == nil {
+		tab, err = result.FromWire(k.ID, body, sum)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("owner %s: %w", owner, err)
 	}
 	return tab, resp.Header.Get("X-Cache") == "hit", nil
 }

@@ -44,18 +44,18 @@ func (r *fleetReplica) get(t *testing.T, path string) (*http.Response, string) {
 	return res, string(body)
 }
 
-// newFleetReplica assembles one replica of a two-member fleet: a
-// memory tier over the shared bucket, a fleet view where self is
-// listed first, and the owner-aware scheduler — the same wiring
-// cmd/bccserve does from -fleet/-objstore.
-func newFleetReplica(t *testing.T, ts *httptest.Server, self, other string,
-	bucket objstore.ObjectClient, reg func() []experiments.Experiment) *fleetReplica {
+// newFleetReplica assembles one replica of a two-member fleet over the
+// tiers cfg names: a fleet view where self is listed first and the
+// owner-aware scheduler — the same wiring cmd/bccserve does from
+// -fleet. configure, if given, adjusts the server before it serves.
+func newFleetReplica(t *testing.T, ts *httptest.Server, self, other string, cfg tier.Config,
+	reg func() []experiments.Experiment, configure ...func(*Server)) *fleetReplica {
 	t.Helper()
 	f, err := fleet.New(self, []string{other})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := tier.NewStack(tier.Config{MemCapacity: 4, ObjstoreClient: bucket})
+	stack, err := tier.NewStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,9 @@ func newFleetReplica(t *testing.T, ts *httptest.Server, self, other string,
 		Quick:    true,
 		Workers:  1,
 		Fleet:    f,
+	}
+	for _, c := range configure {
+		c(srv)
 	}
 	ts.Config.Handler = srv.Handler()
 	ts.Start()
@@ -107,8 +110,8 @@ func TestFleetComputesOnceFleetWide(t *testing.T) {
 	}
 	bucket := objstore.NewMem()
 	tsA, tsB, urlA, urlB := twoUnstarted()
-	a := newFleetReplica(t, tsA, urlA, urlB, bucket, reg)
-	b := newFleetReplica(t, tsB, urlB, urlA, bucket, reg)
+	a := newFleetReplica(t, tsA, urlA, urlB, tier.Config{MemCapacity: 4, ObjstoreClient: bucket}, reg)
+	b := newFleetReplica(t, tsB, urlB, urlA, tier.Config{MemCapacity: 4, ObjstoreClient: bucket}, reg)
 
 	fp := store.KeyFor("EX", result.Params{Seed: 2019, Quick: true}).Fingerprint
 	owner, nonOwner := a, b
@@ -222,8 +225,8 @@ func TestFleetOwnerDeathFallsBackToLocalCompute(t *testing.T) {
 		return healthyReg
 	}
 	bucket := objstore.NewMem()
-	a := newFleetReplica(t, tsA, urlA, urlB, bucket, regFor(urlA))
-	b := newFleetReplica(t, tsB, urlB, urlA, bucket, regFor(urlB))
+	a := newFleetReplica(t, tsA, urlA, urlB, tier.Config{MemCapacity: 4, ObjstoreClient: bucket}, regFor(urlA))
+	b := newFleetReplica(t, tsB, urlB, urlA, tier.Config{MemCapacity: 4, ObjstoreClient: bucket}, regFor(urlB))
 	owner, survivor := a, b
 	if ownerURL == b.url {
 		owner, survivor = b, a
@@ -295,13 +298,12 @@ func (c tripwireClient) Put(context.Context, string, []byte) error {
 	return nil
 }
 
-// TestCachedOnlyNeverTouchesBucketPeerOrFleet pins the wire contract
-// that keeps replica topologies safe: a cached=only request answers
-// from the local tiers (memory, disk) or 404s — it may not read the
-// shared bucket, consult the peer tier, probe the fleet owner, or
-// compute. Every network surface here is a tripwire that fails the
-// test if touched.
-func TestCachedOnlyNeverTouchesBucketPeerOrFleet(t *testing.T) {
+// TestCachedOnlyNeverTouchesBucketOrFleet pins the wire contract that
+// keeps replica topologies safe: a cached=only request answers from the
+// local tiers (memory, disk) or 404s — it may not read the shared
+// bucket, probe or fetch from the fleet owner, or compute. Every
+// network surface here is a tripwire that fails the test if touched.
+func TestCachedOnlyNeverTouchesBucketOrFleet(t *testing.T) {
 	var hits atomic.Int64
 	tripSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
@@ -314,7 +316,6 @@ func TestCachedOnlyNeverTouchesBucketPeerOrFleet(t *testing.T) {
 		MemCapacity:    4,
 		Dir:            t.TempDir(),
 		ObjstoreClient: tripwireClient{t, "cached=only"},
-		PeerURL:        tripSrv.URL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -460,8 +461,8 @@ func TestFleetWaitResolvesViaBucket(t *testing.T) {
 	}
 	bucket := objstore.NewMem()
 	tsA, tsB, urlA, urlB := twoUnstarted()
-	a := newFleetReplica(t, tsA, urlA, urlB, bucket, reg)
-	b := newFleetReplica(t, tsB, urlB, urlA, bucket, reg)
+	a := newFleetReplica(t, tsA, urlA, urlB, tier.Config{MemCapacity: 4, ObjstoreClient: bucket}, reg)
+	b := newFleetReplica(t, tsB, urlB, urlA, tier.Config{MemCapacity: 4, ObjstoreClient: bucket}, reg)
 	fp := store.KeyFor("EX", result.Params{Seed: 2019, Quick: true}).Fingerprint
 	owner, nonOwner := a, b
 	if a.srv.Fleet.Owner(fp) == b.url {

@@ -28,6 +28,17 @@
 // even a memory-tier read is owed. The two formats never collide
 // because format selection lives in the URL (?format=md), which is part
 // of every HTTP cache key.
+//
+// # Repr-Digest is the checksum
+//
+// Every JSON table response also carries Repr-Digest: sha-256=:…:
+// (RFC 9530), the SHA-256 of the exact body. The ETag names which bytes
+// a response should hold; the digest proves that it holds them. A fleet
+// replica fetching a table from its owner rejects a body that does not
+// hash to it (fleet.go), so damage on the wire is a miss, never a
+// cached table. The digest is memoized on the table
+// (result.Table.Digest) and a tier hit carries the checksum its tier
+// verified, so stamping it hashes nothing on the hit path.
 package serve
 
 import (
@@ -39,7 +50,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/breaker"
@@ -47,7 +57,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/sched"
 	"repro/internal/store"
-	"repro/internal/store/remote"
 	"repro/internal/store/tier"
 )
 
@@ -83,21 +92,19 @@ type Server struct {
 	// (shared bucket, probe, wait, proxy — see fleet.go) and fall back
 	// to local compute only when the owner path fails.
 	Fleet *fleet.Fleet
-	// FleetClient issues owner probes and proxied GETs (nil: a pooled
-	// default with keep-alives and no overall timeout — probes carry
-	// their own short deadline, proxies run under the request context).
+	// FleetClient issues owner probes, fetches and proxied GETs (nil: a
+	// pooled default with keep-alives and no overall timeout — probes
+	// and cached=only fetches carry their own short deadlines, proxies
+	// run under the request context).
 	FleetClient *http.Client
 	// Breakers is the dependency circuit-breaker registry (nil: no
 	// breaking). It should be the same Set handed to tier.Config, so the
-	// peer and objstore breakers the tiers feed and the per-owner
-	// breakers the fleet path feeds all surface together in /healthz,
-	// /stats, and the X-Degraded header.
+	// objstore breakers the tiers feed and the per-owner breakers the
+	// fleet path feeds all surface together in /healthz, /stats, and the
+	// X-Degraded header.
 	Breakers *breaker.Set
 
-	// fleetReaders lazily caches one cached=only reader per owner.
-	fleetMu      sync.Mutex
-	fleetReaders map[string]*remote.Tier
-	fleetC       fleetCounters
+	fleetC fleetCounters
 }
 
 // Handler returns the HTTP API: /healthz, /tables, /tables/{id},
@@ -358,13 +365,13 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var table, tierName, cacheHit = (*experiments.Table)(nil), "", false
-	var encoded []byte // wire-form JSON when the scheduler resolved it
-	servedBy := ""     // the replica whose store/compute answered (fleet only)
+	servedBy := "" // the replica whose store/compute answered (fleet only)
 	if cachedOnly {
-		// The replica-warming wire contract: answer from this replica's
-		// LOCAL tiers or say 404 — no computation and no onward peer
-		// lookup, so peer topologies (cycles included) cannot amplify a
-		// miss into a storm of mutual cached=only requests.
+		// The owner-fetch wire contract: answer from this replica's
+		// LOCAL tiers or say 404 — no computation and no onward bucket
+		// or owner lookup, so replicas asking each other (cycles
+		// included) cannot amplify a miss into a storm of mutual
+		// cached=only requests.
 		tab, name, ok := s.Stack.CachedLocal(r.Context(), key)
 		if !ok {
 			w.Header().Set("X-Cache", "miss")
@@ -419,7 +426,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusInternalServerError, "computing %s: %v", id, err)
 				return
 			}
-			table, tierName, cacheHit, encoded = tab, out.Tier, out.CacheHit, out.Encoded
+			table, tierName, cacheHit = tab, out.Tier, out.CacheHit
 		}
 	}
 
@@ -440,13 +447,19 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		contentType = "text/markdown; charset=utf-8"
-	} else if body = encoded; body == nil {
-		var err error
-		body, err = table.EncodedJSON()
+	} else {
+		// The digest is memoized beside the bytes: a computed table was
+		// hashed once when a tier sealed it, and a disk or bucket hit
+		// carries the checksum its tier just verified.
+		sum, err := table.Digest()
+		if err == nil {
+			body, err = table.EncodedJSON()
+		}
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "encoding %s: %v", id, err)
 			return
 		}
+		w.Header().Set(headerReprDigest, formatReprDigest(sum))
 	}
 	cache := "miss"
 	if cacheHit {
@@ -485,9 +498,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.Stack.Mem != nil {
 		payload["memory"] = s.Stack.Mem.Stats()
-	}
-	if s.Stack.Peer != nil {
-		payload["remote"] = s.Stack.Peer.Stats()
 	}
 	if s.Stack.Obj != nil {
 		payload["objstore"] = s.Stack.Obj.Stats()

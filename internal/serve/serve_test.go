@@ -544,121 +544,6 @@ func TestCachedOnlyNeverComputes(t *testing.T) {
 	}
 }
 
-// TestCachedOnlySkipsPeer: a cached=only request is answered from the
-// local tiers alone — zero requests reach the peer — otherwise two
-// replicas peered at each other would amplify every shared miss into a
-// storm of mutual cached=only lookups.
-func TestCachedOnlySkipsPeer(t *testing.T) {
-	var peerHits atomic.Int64
-	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		peerHits.Add(1)
-		http.NotFound(w, r)
-	}))
-	defer peerSrv.Close()
-
-	var calls atomic.Int64
-	stack, err := tier.NewStack(tier.Config{MemCapacity: 4, Dir: t.TempDir(), PeerURL: peerSrv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{
-		Sched:    sched.New(stack.Backend, 2),
-		Stack:    stack,
-		Registry: countingRegistry(&calls, nil),
-		Seed:     2019,
-		Quick:    true,
-		Workers:  2,
-	}
-	h := srv.Handler()
-
-	res, _ := get(t, h, "/tables/EX?seed=7&cached=only")
-	if res.StatusCode != 404 {
-		t.Fatalf("cold cached=only: status %d, want 404", res.StatusCode)
-	}
-	if peerHits.Load() != 0 {
-		t.Fatalf("cached=only reached the peer %d times, want 0", peerHits.Load())
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("cached=only computed %d times", calls.Load())
-	}
-
-	// Warmed locally, cached=only serves without the peer too.
-	get(t, h, "/tables/EX?seed=7") // computes (peer misses once: the normal path)
-	peerBefore := peerHits.Load()
-	if res, _ := get(t, h, "/tables/EX?seed=7&cached=only"); res.StatusCode != 200 {
-		t.Fatalf("warm cached=only: status %d", res.StatusCode)
-	}
-	if peerHits.Load() != peerBefore {
-		t.Fatal("warm cached=only still consulted the peer")
-	}
-}
-
-// TestColdReplicaWarmsFromPeer is the cross-replica acceptance
-// criterion: a cold replica pointed at a warm peer serves /tables/{id}
-// without invoking any estimator, and the peer does not recompute
-// either.
-func TestColdReplicaWarmsFromPeer(t *testing.T) {
-	// Replica A: compute once, keep warm.
-	var callsA atomic.Int64
-	a := testServer(t, &callsA, nil)
-	peerSrv := httptest.NewServer(a.Handler())
-	defer peerSrv.Close()
-	if res, body := get(t, a.Handler(), "/tables/EX?seed=7"); res.StatusCode != 200 {
-		t.Fatalf("warming A failed: %d %s", res.StatusCode, body)
-	}
-
-	// Replica B: cold memory+disk, remote tier pointed at A. Its
-	// registry counts estimator calls — the acceptance criterion is
-	// that it stays at zero.
-	var callsB atomic.Int64
-	stack, err := tier.NewStack(tier.Config{MemCapacity: 4, Dir: t.TempDir(), PeerURL: peerSrv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &Server{
-		Sched:    sched.New(stack.Backend, 2),
-		Stack:    stack,
-		Registry: countingRegistry(&callsB, nil),
-		Seed:     2019,
-		Quick:    true,
-		Workers:  2,
-	}
-
-	res, body := get(t, b.Handler(), "/tables/EX?seed=7")
-	if res.StatusCode != 200 {
-		t.Fatalf("cold replica request: %d %s", res.StatusCode, body)
-	}
-	if c := res.Header.Get("X-Cache"); c != "hit" {
-		t.Fatalf("cold replica X-Cache = %q, want hit (from the peer)", c)
-	}
-	if tier := res.Header.Get("X-Cache-Tier"); tier != "remote" {
-		t.Fatalf("cold replica X-Cache-Tier = %q, want remote", tier)
-	}
-	if callsB.Load() != 0 {
-		t.Fatalf("cold replica invoked %d estimators despite a warm peer", callsB.Load())
-	}
-	if callsA.Load() != 1 {
-		t.Fatalf("peer recomputed: %d calls, want the 1 warming call", callsA.Load())
-	}
-
-	// The hit backfilled B's local tiers: the next request must be
-	// answered locally (memory), not by another peer round-trip.
-	res, _ = get(t, b.Handler(), "/tables/EX?seed=7")
-	if tier := res.Header.Get("X-Cache-Tier"); tier != "memory" {
-		t.Fatalf("second request X-Cache-Tier = %q, want memory (backfilled)", tier)
-	}
-
-	// Dead peer: lookups degrade to local compute, never an error.
-	peerSrv.Close()
-	res, body = get(t, b.Handler(), "/tables/EX?seed=9")
-	if res.StatusCode != 200 {
-		t.Fatalf("request with dead peer: %d %s", res.StatusCode, body)
-	}
-	if callsB.Load() != 1 {
-		t.Fatalf("dead peer: local compute ran %d times, want 1", callsB.Load())
-	}
-}
-
 // TestSaturatedQueueReturns429 is the backpressure acceptance
 // criterion: with one busy slot and no waiting room, a fresh request is
 // rejected with 429 + Retry-After while the in-flight request still

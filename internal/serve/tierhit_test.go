@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -125,7 +126,15 @@ func TestMarkdownOfUndecodableTableIs500(t *testing.T) {
 	k := store.KeyFor("EX", result.Params{Seed: 7, Quick: true})
 	wire := `{"schema":1,"id":"EX","rows":"not rows"}` + "\n"
 	path := filepath.Join(dir, "objects", k.Fingerprint+".json")
-	if err := os.WriteFile(path, store.Seal([]byte(wire)), 0o644); err != nil {
+	tab, err := result.FromWire("EX", []byte(wire), sha256.Sum256([]byte(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := store.Seal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, obj, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()

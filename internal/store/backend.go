@@ -10,9 +10,9 @@ import (
 // content-determining run parameters, and the fingerprint derived from
 // them. Fingerprint alone addresses an object (the disk layout and the
 // in-memory hot table key on nothing else); ID and Params ride along so
-// request-shaped tiers — the HTTP remote tier asks a peer bccserve for
-// /tables/{id}?seed=&quick= — can reconstruct the wire request without a
-// reverse fingerprint lookup.
+// request-shaped lookups — a fleet replica asks the owner for
+// /tables/{id}?seed=&quick= — can reconstruct the wire request without
+// a reverse fingerprint lookup.
 //
 // Build keys with KeyFor so Fingerprint always matches (ID, Params) at
 // the current schema version; a hand-assembled mismatched Key defeats
@@ -36,7 +36,8 @@ func KeyFor(id string, p result.Params) Key {
 
 // Backend is the Get/Put contract every store tier implements: the disk
 // store (this package), the in-memory hot table (store/memlru), the
-// HTTP peer tier (store/remote), and their composition (store/tier).
+// shared object bucket (store/objstore), and their composition
+// (store/tier).
 //
 // The contract, shared by all implementations:
 //
@@ -52,16 +53,14 @@ func KeyFor(id string, p result.Params) Key {
 //     disk or bucket tier carries its verified wire bytes and no
 //     decoded rows yet: read its typed fields through
 //     result.Table.Decoded.
-//   - Read-only tiers (the remote peer) implement Put as a successful
-//     no-op.
 type Backend interface {
 	// Name identifies the tier in stats and the X-Cache-Tier header
-	// ("memory", "disk", "remote", "tiered").
+	// ("memory", "disk", "objstore", "tiered").
 	Name() string
 	// Get returns the cached table for k, or (nil, false) on a miss.
-	// The context bounds slow lookups — the remote tier's peer round
-	// trip honors its deadline, so a hung peer cannot stall a request
-	// past its serving timeout; a context expiry is, like every other
+	// The context bounds slow lookups — the bucket tier's round trip
+	// honors its deadline, so a hung bucket cannot stall a request past
+	// its serving timeout; a context expiry is, like every other
 	// failure, a miss. Local tiers may ignore it.
 	Get(ctx context.Context, k Key) (*result.Table, bool)
 	// Put stores t under k. Failures degrade persistence, never the

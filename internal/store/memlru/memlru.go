@@ -12,7 +12,7 @@
 // two independent bounds: the tier holds at most Capacity tables AND at
 // most MaxBytes approximate bytes (when a byte cap is set), and a Get
 // refreshes recency. An evicted table is not lost — the tier below
-// (disk, then a remote peer) still holds it, and the next Get falls
+// (disk, then the shared bucket) still holds it, and the next Get falls
 // through and backfills (store/tier's job).
 //
 // The byte accounting is deliberately approximate: an entry is charged

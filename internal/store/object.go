@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/result"
 )
 
 // objectMagic opens the header line of every stored object, in the disk
@@ -24,35 +26,49 @@ const objectMagic = "repro-object sha256="
 // headerLen is the length of the header line, newline included.
 const headerLen = len(objectMagic) + 2*sha256.Size + 1
 
-// Seal frames a table's wire bytes (result.Table.EncodedJSON) as a
-// stored object: the checksum header line, then wire verbatim.
-func Seal(wire []byte) []byte {
-	sum := sha256.Sum256(wire)
+// Seal frames a table as a stored object: the checksum header line
+// carrying the SHA-256 of its wire bytes, then the wire bytes verbatim.
+// Both come from the table's memos (result.Table.EncodedJSON and
+// Digest), so sealing a table that a tier read back or an earlier Put
+// touched costs no encode and no hash.
+func Seal(t *result.Table) ([]byte, error) {
+	wire, err := t.EncodedJSON()
+	if err != nil {
+		return nil, err
+	}
+	sum, err := t.Digest()
+	if err != nil {
+		return nil, err
+	}
 	obj := make([]byte, 0, headerLen+len(wire))
 	obj = append(obj, objectMagic...)
 	obj = hex.AppendEncode(obj, sum[:])
 	obj = append(obj, '\n')
-	return append(obj, wire...)
+	return append(obj, wire...), nil
 }
 
 // Unseal verifies a stored object and returns its body, the wire bytes
-// Seal framed, as a subslice of obj. It fails on a malformed header and
-// on a checksum that is not the lowercase hex SHA-256 of the body: a
-// torn, truncated or damaged object, or one in another layout. Callers
-// turn the failure into a miss. Checking that the body is the requested
-// table is result.FromWire's job.
-func Unseal(obj []byte) ([]byte, error) {
+// Seal framed, as a subslice of obj, with the SHA-256 it was verified
+// against. It fails on a malformed header and on a checksum that is not
+// the lowercase hex SHA-256 of the body: a torn, truncated or damaged
+// object, or one in another layout. Callers turn the failure into a
+// miss, and hand body and sum to result.FromWire, which checks that the
+// body is the requested table.
+func Unseal(obj []byte) ([]byte, [sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
 	if len(obj) < headerLen || string(obj[:len(objectMagic)]) != objectMagic || obj[headerLen-1] != '\n' {
-		return nil, errors.New("store: object header malformed")
+		return nil, sum, errors.New("store: object header malformed")
+	}
+	// One object has one spelling: hex.Decode also takes upper case.
+	hexSum := obj[len(objectMagic) : headerLen-1]
+	if _, err := hex.Decode(sum[:], hexSum); err != nil || bytes.ContainsAny(hexSum, "ABCDEF") {
+		return nil, sum, errors.New("store: object header malformed")
 	}
 	body := obj[headerLen:]
-	sum := sha256.Sum256(body)
-	var want [2 * sha256.Size]byte
-	hex.Encode(want[:], sum[:])
-	if !bytes.Equal(want[:], obj[len(objectMagic):headerLen-1]) {
-		return nil, errors.New("store: object checksum mismatch")
+	if err := result.VerifyDigest(body, sum); err != nil {
+		return nil, sum, errors.New("store: object checksum mismatch")
 	}
-	return body, nil
+	return body, sum, nil
 }
 
 // tempPrefix names the temporary files WriteFileAtomic renames into

@@ -11,11 +11,18 @@ import (
 
 // sealedSample is a real object: a table's wire bytes, sealed.
 func sealedSample(t testing.TB) []byte {
-	wire, err := tableFor("E3").EncodedJSON()
+	obj, err := Seal(tableFor("E3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Seal(wire)
+	return obj
+}
+
+// sealBytes frames arbitrary bytes in the object layout TestSealLayout
+// pins, for bodies no table could have.
+func sealBytes(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append([]byte(objectMagic+hex.EncodeToString(sum[:])+"\n"), body...)
 }
 
 // TestSealLayout pins the object layout: one fixed-length header line
@@ -25,8 +32,15 @@ func TestSealLayout(t *testing.T) {
 	wire := []byte(`{"schema":1,"id":"E3"}` + "\n")
 	sum := sha256.Sum256(wire)
 	want := "repro-object sha256=" + hex.EncodeToString(sum[:]) + "\n" + string(wire)
-	if got := string(Seal(wire)); got != want {
-		t.Fatalf("Seal = %q, want %q", got, want)
+	tab, err := result.FromWire("E3", wire, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Seal(tab); err != nil || string(got) != want {
+		t.Fatalf("Seal = %q, %v; want %q", got, err, want)
+	}
+	if got := string(sealBytes(wire)); got != want {
+		t.Fatalf("sealBytes = %q, want %q", got, want)
 	}
 	if len(want)-len(wire) != headerLen {
 		t.Fatalf("header is %d bytes, headerLen says %d", len(want)-len(wire), headerLen)
@@ -35,7 +49,7 @@ func TestSealLayout(t *testing.T) {
 
 // FuzzUnseal drives the object decoder with arbitrary bytes. It must
 // never panic; whatever it accepts carries a header checksum equal to
-// the SHA-256 of the body it returns; Seal followed by Unseal
+// the SHA-256 of the body it returns; sealing followed by Unseal
 // round-trips any body; and flipping any byte of a sealed object turns
 // it into a rejection, which every tier reports as a miss.
 func FuzzUnseal(f *testing.F) {
@@ -43,13 +57,15 @@ func FuzzUnseal(f *testing.F) {
 	f.Add(sealed)
 	f.Add(sealed[:headerLen])
 	f.Add(sealed[:len(sealed)-1])
-	f.Add(Seal(nil))
+	f.Add(sealBytes(nil))
 	f.Add([]byte{})
 	f.Add([]byte("repro-object sha256="))
 	f.Add([]byte(`{"checksum":"00","table":{"schema":1,"id":"E3"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if body, err := Unseal(data); err == nil {
-			sum := sha256.Sum256(body)
+		if body, sum, err := Unseal(data); err == nil {
+			if sum != sha256.Sum256(body) {
+				t.Fatal("Unseal returned a checksum that is not its body's")
+			}
 			if got := string(data[len(objectMagic) : headerLen-1]); got != hex.EncodeToString(sum[:]) {
 				t.Fatalf("accepted an object whose header checksum %q is not its body's", got)
 			}
@@ -58,7 +74,7 @@ func FuzzUnseal(f *testing.F) {
 			}
 			// The accepted body goes on to the prefix check; neither it
 			// nor the deferred decode may panic.
-			if tab, err := result.FromWire("E3", body); err == nil {
+			if tab, err := result.FromWire("E3", body, sum); err == nil {
 				_, _ = tab.Decoded()
 			}
 		}
@@ -66,8 +82,8 @@ func FuzzUnseal(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		obj := Seal(data)
-		body, err := Unseal(obj)
+		obj := sealBytes(data)
+		body, _, err := Unseal(obj)
 		if err != nil || !bytes.Equal(body, data) {
 			t.Fatalf("Seal/Unseal round trip: %q, %v; want %q", body, err, data)
 		}
@@ -77,7 +93,7 @@ func FuzzUnseal(f *testing.F) {
 		}
 		for i := range obj {
 			obj[i] ^= mask
-			if _, err := Unseal(obj); err == nil {
+			if _, _, err := Unseal(obj); err == nil {
 				t.Fatalf("flipping byte %d of a sealed object (mask %#x) was accepted", i, mask)
 			}
 			obj[i] ^= mask

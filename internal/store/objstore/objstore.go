@@ -164,10 +164,10 @@ func (t *Tier) Get(ctx context.Context, k store.Key) (*result.Table, bool) {
 	// The key names the object, the body names the experiment; a bucket
 	// shared by a misconfigured writer (or a hand-copied object) must
 	// not answer for the wrong table, so FromWire checks the id too.
-	body, err := store.Unseal(raw)
+	body, sum, err := store.Unseal(raw)
 	var tab *result.Table
 	if err == nil {
-		tab, err = result.FromWire(k.ID, body)
+		tab, err = result.FromWire(k.ID, body, sum)
 	}
 	if err != nil {
 		t.recordGet(fmt.Errorf("objstore: %s: %w", k.Fingerprint, err))
@@ -181,7 +181,8 @@ func (t *Tier) Get(ctx context.Context, k store.Key) (*result.Table, bool) {
 
 // recordGet/recordPut feed the path breakers when attached. Neutral
 // outcomes (caller cancellation, local encode bugs) must not be
-// recorded at all — see the remote tier's identical rule.
+// recorded at all: a stream of them would mask an outage as health, or
+// open the breaker on a healthy bucket.
 func (t *Tier) recordGet(err error) {
 	if t.getBreaker != nil {
 		t.getBreaker.Record(err)
@@ -207,7 +208,7 @@ func (t *Tier) Put(k store.Key, tab *result.Table) error {
 		t.putShortCircuits.Add(1)
 		return fmt.Errorf("objstore: put %s short-circuited: breaker open", k.Fingerprint)
 	}
-	wire, err := tab.EncodedJSON()
+	obj, err := store.Seal(tab)
 	if err != nil {
 		// A local encode failure says nothing about the bucket's health.
 		t.putErrors.Add(1)
@@ -216,7 +217,7 @@ func (t *Tier) Put(k store.Key, tab *result.Table) error {
 	//bcclint:allow(ctxflow) Backend.Put carries no context by contract: write-through persistence is best-effort, off the request path, and must survive the request that triggered it; the tier supplies its own bound
 	ctx, cancel := context.WithTimeout(context.Background(), t.putTimeout)
 	defer cancel()
-	if err := t.client.Put(ctx, objectKey(k.Fingerprint), store.Seal(wire)); err != nil {
+	if err := t.client.Put(ctx, objectKey(k.Fingerprint), obj); err != nil {
 		t.recordPut(fmt.Errorf("objstore: putting %s: %w", k.Fingerprint, err))
 		t.putErrors.Add(1)
 		return fmt.Errorf("objstore: putting %s: %w", k.Fingerprint, err)

@@ -100,7 +100,7 @@ func TestDamagedObjectIsMiss(t *testing.T) {
 		// A header whose checksum is not the body's.
 		"bad checksum": []byte("repro-object sha256=" + checksumOf([]byte("other")) + "\n" + string(wire)),
 		// A valid checksum over a body that is not a table.
-		"undecodable table": store.Seal([]byte("\"junk\"\n")),
+		"undecodable table": []byte("repro-object sha256=" + checksumOf([]byte("\"junk\"\n")) + "\n\"junk\"\n"),
 		// The previous layout: a JSON envelope around the table.
 		"old envelope": []byte(`{"checksum":"` + checksumOf(wire[:len(wire)-1]) + `","table":` + string(wire)),
 	}

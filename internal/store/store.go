@@ -6,11 +6,10 @@
 // The Get/Put contract lives in the Backend interface; this package's
 // Store is the durable disk tier (L1). Sibling packages implement the
 // other tiers on the same contract — store/memlru is the in-process hot
-// table (L0), store/objstore the writable bucket a fleet shares (L2),
-// store/remote reads a peer bccserve's corpus over HTTP — and
-// store/tier composes any stack of them with fallthrough and backfill.
-// Every tier degrades to a miss on failure (damage, network, decode):
-// lookups never error, callers recompute instead.
+// table (L0), store/objstore the writable bucket a fleet shares (L2) —
+// and store/tier composes any stack of them with fallthrough and
+// backfill. Every tier degrades to a miss on failure (damage, network,
+// decode): lookups never error, callers recompute instead.
 //
 // # Layout
 //
@@ -30,10 +29,10 @@
 //
 // A hit is one file read, a header compare, one SHA-256 of the body,
 // and result.FromWire's check that the body opens with this schema
-// version and the requested id. The verified bytes become the table's
-// memoized wire encoding, so serving it as JSON costs neither a decode
-// nor an encode; its typed rows are decoded only if something reads
-// them (result.Table.Decoded).
+// version and the requested id. The verified bytes and checksum become
+// the table's memoized wire encoding and digest, so serving it as JSON
+// costs neither a decode, an encode nor another hash; its typed rows
+// are decoded only if something reads them (result.Table.Decoded).
 //
 // # Durability and concurrency
 //
@@ -172,10 +171,10 @@ func (s *Store) read(k Key) (*result.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := Unseal(raw)
+	body, sum, err := Unseal(raw)
 	var t *result.Table
 	if err == nil {
-		t, err = result.FromWire(k.ID, body)
+		t, err = result.FromWire(k.ID, body, sum)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
@@ -184,18 +183,19 @@ func (s *Store) read(k Key) (*result.Table, error) {
 }
 
 // Put stores a table under its key's fingerprint with an atomic
-// write-and-rename. The body is the table's memoized wire encoding, so
-// a table that any tier or response has already touched — and every
-// table a tier read back — costs this Put zero raw encodes.
+// write-and-rename. The body and its checksum are the table's memoized
+// wire encoding and digest, so a table that any tier or response has
+// already touched — and every table a tier read back — costs this Put
+// zero raw encodes and zero hashes.
 func (s *Store) Put(k Key, t *result.Table) error {
 	if !validFingerprint(k.Fingerprint) {
 		return fmt.Errorf("store: malformed fingerprint %q", k.Fingerprint)
 	}
-	wire, err := t.EncodedJSON()
+	obj, err := Seal(t)
 	if err != nil {
 		return fmt.Errorf("store: encoding table %s: %w", t.ID, err)
 	}
-	if err := WriteFileAtomic(s.objectPath(k.Fingerprint), Seal(wire)); err != nil {
+	if err := WriteFileAtomic(s.objectPath(k.Fingerprint), obj); err != nil {
 		return err
 	}
 	s.puts.Add(1)
@@ -282,6 +282,6 @@ func damaged(path string) bool {
 	if err != nil {
 		return false
 	}
-	_, err = Unseal(raw)
+	_, _, err = Unseal(raw)
 	return err != nil
 }

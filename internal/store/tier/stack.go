@@ -2,7 +2,6 @@ package tier
 
 import (
 	"context"
-	"net/http"
 	"time"
 
 	"repro/internal/breaker"
@@ -10,13 +9,11 @@ import (
 	"repro/internal/store"
 	"repro/internal/store/memlru"
 	"repro/internal/store/objstore"
-	"repro/internal/store/remote"
 )
 
 // Breaker names the stack registers in a breaker.Set — also the
 // dependency names the X-Degraded header and /healthz readiness use.
 const (
-	BreakerPeer        = "peer"
 	BreakerObjstore    = "objstore"
 	BreakerObjstorePut = "objstore-put"
 )
@@ -32,8 +29,8 @@ type Config struct {
 	// Dir is the L1 durable disk store directory ("" disables).
 	Dir string
 	// ObjstoreDir roots a filesystem-backed shared object bucket — the
-	// writable shared tier between the local tiers and the peer ("" and
-	// a nil ObjstoreClient disable it).
+	// writable shared tier behind the local tiers ("" and a nil
+	// ObjstoreClient disable it).
 	ObjstoreDir string
 	// ObjstoreClient, when non-nil, supplies the shared bucket client
 	// directly and takes precedence over ObjstoreDir — tests and
@@ -43,37 +40,26 @@ type Config struct {
 	// ObjstorePutTimeout bounds each write-through Put against the
 	// bucket (0: objstore.DefaultPutTimeout).
 	ObjstorePutTimeout time.Duration
-	// PeerURL is the legacy read-only replica tier base URL (""
-	// disables). It sits last: the shared bucket answers first.
-	PeerURL string
-	// PeerTimeout bounds each peer round trip (0: remote.DefaultTimeout).
-	// Ignored when PeerClient supplies its own client.
-	PeerTimeout time.Duration
-	// PeerClient, when non-nil, replaces the peer tier's pooled default
-	// client — how fault injection wraps the peer transport.
-	PeerClient *http.Client
-	// Breakers, when non-nil, registers circuit breakers for the remote
-	// tiers: "peer" around peer lookups, "objstore"/"objstore-put"
-	// around bucket reads and write-throughs. The same Set should be
-	// handed to the serving layer so /healthz, /stats, and X-Degraded
-	// report every dependency in one place.
+	// Breakers, when non-nil, registers circuit breakers for the
+	// shared bucket: "objstore"/"objstore-put" around its reads and
+	// write-throughs. The same Set should be handed to the serving layer
+	// so /healthz, /stats, and X-Degraded report every dependency in one
+	// place.
 	Breakers *breaker.Set
 }
 
-// Stack is the canonical L0 → L1 → shared L2 → peer assembly shared by
+// Stack is the canonical L0 → L1 → shared L2 assembly shared by
 // cmd/bccserve and cmd/experiments: an optional in-memory hot table, an
-// optional disk store, an optional *writable* shared object bucket, an
-// optional read-only peer replica, composed fastest-first. The per-tier
-// handles are kept so serving layers can report tier-specific stats;
-// unconfigured tiers are nil.
+// optional disk store and an optional *writable* shared object bucket,
+// composed fastest-first. The per-tier handles are kept so serving
+// layers can report tier-specific stats; unconfigured tiers are nil.
 //
 // The tier order encodes the fleet economics: memory and disk are this
 // replica's private cache (the "local" prefix — the only tiers a
 // cached=only request or probe may consult); the object bucket is the
 // fleet's shared corpus (one write by any replica serves every
-// replica); the peer tier is the legacy point-to-point warming path and
-// goes last because the bucket answers the same question without
-// per-lookup HTTP against a replica that may be busy serving.
+// replica). Another replica's corpus is not a tier: the serving layer
+// reaches it through the fleet owner fetch (internal/serve).
 type Stack struct {
 	// Backend is what consumers (the scheduler) use: the single
 	// configured tier, their Tiered composition, or nil when no tier is
@@ -85,25 +71,21 @@ type Stack struct {
 	Disk *store.Store
 	// Obj is the writable shared bucket tier (nil unless configured).
 	Obj *objstore.Tier
-	// Peer is the read-only replica reader (nil unless a URL was given).
-	Peer *remote.Tier
 	// Tiered is the composition (non-nil only when ≥ 2 tiers stacked).
 	Tiered *Tiered
 
 	// local is how many leading tiers are local (memory, disk) — the
-	// prefix CachedLocal is allowed to consult; shared additionally
-	// includes the object bucket — the prefix LookupShared consults
-	// (everything but the peer).
-	local, shared int
+	// prefix CachedLocal is allowed to consult.
+	local int
 }
 
 // CachedLocal answers k from the local tiers only — memory, then disk,
-// never the shared bucket or the peer — through the same counted
+// never the shared bucket — through the same counted
 // fallthrough/backfill path as full lookups. This is the serving
 // layer's cached=only contract (and the probe endpoint's): a cache-only
 // request must trigger no outbound work of any kind — no bucket read,
-// no peer round trip, no owner proxy — or two replicas pointed at each
-// other would re-query one another on every shared miss.
+// no owner fetch or proxy — or two replicas asking each other would
+// re-query one another on every shared miss.
 func (s Stack) CachedLocal(ctx context.Context, k store.Key) (*result.Table, string, bool) {
 	if s.Tiered != nil {
 		return s.Tiered.getTierN(ctx, k, s.local)
@@ -115,17 +97,16 @@ func (s Stack) CachedLocal(ctx context.Context, k store.Key) (*result.Table, str
 	return nil, "", false
 }
 
-// LookupShared answers k from every tier that does not involve another
-// replica's request path: memory, disk, then the shared bucket — never
-// the peer tier. This is the non-owner fleet path's first stop: before
-// probing or proxying to the owner, the shared corpus may already hold
-// the table (the owner's write-through lands there), and reading it
-// costs no replica any work.
+// LookupShared answers k from every tier: memory, disk, then the shared
+// bucket, naming the tier that answered. This is the non-owner fleet
+// path's first stop: before probing or proxying to the owner, the
+// shared corpus may already hold the table (the owner's write-through
+// lands there), and reading it costs no replica any work.
 func (s Stack) LookupShared(ctx context.Context, k store.Key) (*result.Table, string, bool) {
 	if s.Tiered != nil {
-		return s.Tiered.getTierN(ctx, k, s.shared)
+		return s.Tiered.GetTier(ctx, k)
 	}
-	if s.shared > 0 && s.Backend != nil {
+	if s.Backend != nil {
 		t, ok := s.Backend.Get(ctx, k)
 		return t, s.Backend.Name(), ok
 	}
@@ -133,10 +114,10 @@ func (s Stack) LookupShared(ctx context.Context, k store.Key) (*result.Table, st
 }
 
 // BackfillLocal writes t into the local tiers (memory, disk) without
-// touching the shared bucket or the peer: the landing path for a table
-// fetched from the owner replica, whose own write-through already
-// populated the bucket — re-uploading it from every non-owner would
-// multiply bucket writes by the fleet size.
+// touching the shared bucket: the landing path for a table fetched from
+// the owner replica, whose own write-through already populated the
+// bucket — re-uploading it from every non-owner would multiply bucket
+// writes by the fleet size.
 func (s Stack) BackfillLocal(k store.Key, t *result.Table) {
 	if s.Mem != nil {
 		_ = s.Mem.Put(k, t)
@@ -184,22 +165,6 @@ func NewStack(cfg Config) (Stack, error) {
 		}
 		st.Obj = objstore.New(client, objOpts...)
 		tiers = append(tiers, st.Obj)
-	}
-	st.shared = len(tiers)
-	if cfg.PeerURL != "" {
-		var peerOpts []remote.Option
-		if cfg.PeerTimeout > 0 {
-			peerOpts = append(peerOpts, remote.WithTimeout(cfg.PeerTimeout))
-		}
-		if cfg.Breakers != nil {
-			peerOpts = append(peerOpts, remote.WithBreaker(cfg.Breakers.Get(BreakerPeer)))
-		}
-		p, err := remote.New(cfg.PeerURL, cfg.PeerClient, peerOpts...)
-		if err != nil {
-			return st, err
-		}
-		st.Peer = p
-		tiers = append(tiers, p)
 	}
 	switch len(tiers) {
 	case 0:

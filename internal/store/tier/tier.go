@@ -1,8 +1,8 @@
 // Package tier composes store backends into one tiered store: a Get
-// falls through the stack fastest-first (memory → disk → remote peer)
-// and backfills every faster tier on a hit, so the corpus migrates
-// toward the cheapest medium that traffic actually touches; a Put
-// write-throughs every tier (read-only tiers absorb it as a no-op).
+// falls through the stack fastest-first (memory → disk → shared
+// bucket) and backfills every faster tier on a hit, so the corpus
+// migrates toward the cheapest medium that traffic actually touches; a
+// Put write-throughs every tier.
 //
 // # Degradation rules
 //
@@ -14,9 +14,8 @@
 //   - an evicted L0 entry refills from L1 on the next Get;
 //   - a corrupt L1 object falls through to L2 and is healed by the
 //     backfill's overwrite;
-//   - an unreachable remote tier (bucket or peer) degrades the stack
-//     to local tiers only — lookups keep working and computation
-//     happens locally. With breakers attached (Config.Breakers) the
+//   - an unreachable shared bucket degrades the stack to local tiers
+//     only — lookups keep working and computation happens locally. With breakers attached (Config.Breakers) the
 //     outage is also remembered: repeated failures open the tier's
 //     breaker and later lookups skip it in microseconds instead of
 //     re-paying a connect failure or timeout per miss, until a
@@ -75,8 +74,8 @@ func (t *Tiered) GetTier(ctx context.Context, k store.Key) (*result.Table, strin
 }
 
 // getTierN is GetTier restricted to the first n tiers: the serving
-// layer's cached=only path must stop before the peer tier, while still
-// sharing this stack's counters and backfill behavior.
+// layer's cached=only path must stop before the shared bucket, while
+// still sharing this stack's counters and backfill behavior.
 func (t *Tiered) getTierN(ctx context.Context, k store.Key, n int) (*result.Table, string, bool) {
 	for i, b := range t.tiers[:n] {
 		tab, ok := b.Get(ctx, k)
@@ -113,7 +112,7 @@ func (t *Tiered) Put(k store.Key, tab *result.Table) error {
 
 // TierStats is one tier's view of the stack's traffic.
 type TierStats struct {
-	// Name is the tier's Backend name ("memory", "disk", "remote").
+	// Name is the tier's Backend name ("memory", "disk", "objstore").
 	Name string `json:"name"`
 	// Hits counts lookups this tier answered; a hit at a slow tier means
 	// every faster tier missed first.

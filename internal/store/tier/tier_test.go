@@ -3,8 +3,6 @@ package tier
 import (
 	"context"
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +11,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/store/memlru"
 	"repro/internal/store/objstore"
-	"repro/internal/store/remote"
 )
 
 var _ store.Backend = (*Tiered)(nil)
@@ -104,10 +101,11 @@ func TestL0EvictionRefillsFromL1(t *testing.T) {
 }
 
 // TestL1CorruptionFallsThroughToL2: a corrupt disk object degrades to
-// the peer tier, and the hit's backfill overwrite-heals the disk slot.
+// the shared bucket tier, and the hit's backfill overwrite-heals the
+// disk slot.
 func TestL1CorruptionFallsThroughToL2(t *testing.T) {
 	disk, dir := newDisk(t)
-	l2 := newFake("remote")
+	l2 := newFake("objstore")
 	stack := New(disk, l2)
 
 	k := keyFor(3)
@@ -124,38 +122,12 @@ func TestL1CorruptionFallsThroughToL2(t *testing.T) {
 	if !ok || !tab.Equal(tableFor(3)) {
 		t.Fatal("corrupt L1 killed the lookup instead of falling through")
 	}
-	if tierName != "remote" {
-		t.Fatalf("hit came from %q, want remote", tierName)
+	if tierName != "objstore" {
+		t.Fatalf("hit came from %q, want objstore", tierName)
 	}
 	// Backfill healed the disk slot.
 	if _, tierName, ok = stack.GetTier(context.Background(), k); !ok || tierName != "disk" {
 		t.Fatalf("disk slot not healed: hit from %q", tierName)
-	}
-}
-
-// TestUnreachablePeerDegradesToLocalTiers: with a dead L2 the stack
-// still serves local content and reports clean misses for the rest —
-// never an error, never a panic.
-func TestUnreachablePeerDegradesToLocalTiers(t *testing.T) {
-	srv := httptest.NewServer(http.NotFoundHandler())
-	srv.Close() // dead peer
-	peerTier, err := remote.New(srv.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := newLRU(t, 4)
-	disk, _ := newDisk(t)
-	stack := New(mem, disk, peerTier)
-
-	k := keyFor(4)
-	if _, ok := stack.Get(context.Background(), k); ok {
-		t.Fatal("empty stack with dead peer reported a hit")
-	}
-	if err := stack.Put(k, tableFor(4)); err != nil {
-		t.Fatalf("put through a dead read-only peer errored: %v", err)
-	}
-	if tab, tierName, ok := stack.GetTier(context.Background(), k); !ok || tierName != "memory" || !tab.Equal(tableFor(4)) {
-		t.Fatalf("local serve degraded: ok=%t tier=%q", ok, tierName)
 	}
 }
 
@@ -207,28 +179,25 @@ func TestPutReportsFirstFailureButWritesAll(t *testing.T) {
 	}
 }
 
-// TestStackCachedLocalSkipsPeer: CachedLocal consults only the local
-// prefix of the stack — a dead or live peer is never touched — while
-// sharing the stack's counters and backfill.
-func TestStackCachedLocalSkipsPeer(t *testing.T) {
-	peerCalls := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		peerCalls++
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-
-	stack, err := NewStack(Config{MemCapacity: 2, Dir: t.TempDir(), PeerURL: srv.URL})
+// TestStackCachedLocalSkipsBucket: CachedLocal consults only the local
+// prefix of the stack — the shared bucket is never touched, cold or
+// warm — while sharing the stack's counters and backfill.
+func TestStackCachedLocalSkipsBucket(t *testing.T) {
+	stack, err := NewStack(Config{MemCapacity: 2, Dir: t.TempDir(), ObjstoreClient: objstore.NewMem()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	bucketUntouched := func(when string) {
+		t.Helper()
+		if st := stack.Obj.Stats(); st.Hits+st.NotFound+st.Errors != 0 {
+			t.Fatalf("%s CachedLocal touched the bucket: %+v", when, st)
+		}
 	}
 	k := keyFor(11)
 	if _, _, ok := stack.CachedLocal(context.Background(), k); ok {
 		t.Fatal("empty stack reported a local hit")
 	}
-	if peerCalls != 0 {
-		t.Fatalf("CachedLocal reached the peer %d times", peerCalls)
-	}
+	bucketUntouched("cold")
 	if err := stack.Backend.Put(k, tableFor(11)); err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +205,7 @@ func TestStackCachedLocalSkipsPeer(t *testing.T) {
 	if !ok || tierName != "memory" || !tab.Equal(tableFor(11)) {
 		t.Fatalf("local hit wrong: ok=%t tier=%q", ok, tierName)
 	}
-	if peerCalls != 0 {
-		t.Fatalf("warm CachedLocal reached the peer %d times", peerCalls)
-	}
+	bucketUntouched("warm")
 	// The local lookups were counted on the shared stack stats.
 	st := stack.Tiered.Stats()
 	if st[0].Name != "memory" || st[0].Hits != 1 || st[0].Misses != 1 {
@@ -246,9 +213,9 @@ func TestStackCachedLocalSkipsPeer(t *testing.T) {
 	}
 }
 
-// TestStackCachedLocalSingleLocalTier: with one local tier and no peer
-// there is no Tiered composition; CachedLocal still answers. With only
-// a peer, it always misses.
+// TestStackCachedLocalSingleLocalTier: with one local tier and nothing
+// else there is no Tiered composition; CachedLocal still answers. With
+// only a bucket, it always misses.
 func TestStackCachedLocalSingleLocalTier(t *testing.T) {
 	stack, err := NewStack(Config{Dir: t.TempDir()})
 	if err != nil {
@@ -262,14 +229,18 @@ func TestStackCachedLocalSingleLocalTier(t *testing.T) {
 		t.Fatalf("single-tier CachedLocal: ok=%t tier=%q", ok, tierName)
 	}
 
-	srv := httptest.NewServer(http.NotFoundHandler())
-	defer srv.Close()
-	peerOnly, err := NewStack(Config{PeerURL: srv.URL})
+	bucketOnly, err := NewStack(Config{ObjstoreClient: objstore.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := peerOnly.CachedLocal(context.Background(), k); ok {
-		t.Fatal("peer-only stack reported a local hit")
+	if err := bucketOnly.Backend.Put(k, tableFor(12)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := bucketOnly.CachedLocal(context.Background(), k); ok {
+		t.Fatal("bucket-only stack reported a local hit")
+	}
+	if _, tierName, ok := bucketOnly.LookupShared(context.Background(), k); !ok || tierName != "objstore" {
+		t.Fatalf("bucket-only LookupShared: ok=%t tier=%q", ok, tierName)
 	}
 }
 
@@ -316,35 +287,6 @@ func TestStackObjstoreSlot(t *testing.T) {
 	}
 	if _, tierName, ok := stack.CachedLocal(context.Background(), k); !ok || tierName != "memory" {
 		t.Fatalf("backfill after shared hit missing: ok=%t tier=%q", ok, tierName)
-	}
-}
-
-// TestStackLookupSharedSkipsPeer: the shared lookup stops before the
-// peer tier — the fleet path has its own owner protocol and must not
-// fall into the legacy point-to-point warming round trip.
-func TestStackLookupSharedSkipsPeer(t *testing.T) {
-	peerCalls := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		peerCalls++
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-	stack, err := NewStack(Config{MemCapacity: 2, ObjstoreClient: objstore.NewMem(), PeerURL: srv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := stack.LookupShared(context.Background(), keyFor(22)); ok {
-		t.Fatal("cold stack reported a shared hit")
-	}
-	if peerCalls != 0 {
-		t.Fatalf("LookupShared reached the peer %d times", peerCalls)
-	}
-	// The full Get still falls through to the peer.
-	if _, ok := stack.Backend.Get(context.Background(), keyFor(22)); ok {
-		t.Fatal("404 peer reported a hit")
-	}
-	if peerCalls != 1 {
-		t.Fatalf("full Get reached the peer %d times, want 1", peerCalls)
 	}
 }
 
